@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -41,16 +42,15 @@ from .quandles import (
     trivial_quandle,
 )
 from .search import (
+    DECIDERS as _DECIDERS,
     DEFAULT_CAPS,
+    ENUMERATORS as _ENUMERATORS,
     NON_CYCLIC,
     SearchCaps,
     Verdict,
     census,
-    decide_bicircular,
     decide_left_circular,
-    decide_left_orderable,
     decide_right_circular,
-    decide_right_orderable,
     embedding_image,
     enumerate_bicircular,
     enumerate_lco,
@@ -63,23 +63,7 @@ from .search import (
     subbasic_right,
 )
 
-PROPERTIES = ("right-circular", "left-circular", "bi-circular", "right-order", "left-order")
-
-_DECIDERS = {
-    "right-circular": decide_right_circular,
-    "left-circular": decide_left_circular,
-    "bi-circular": decide_bicircular,
-    "right-order": decide_right_orderable,
-    "left-order": decide_left_orderable,
-}
-
-_ENUMERATORS = {
-    "right-circular": enumerate_rco,
-    "left-circular": enumerate_lco,
-    "bi-circular": enumerate_bicircular,
-    "right-order": enumerate_right_orderings,
-    "left-order": enumerate_left_orderings,
-}
+PROPERTIES = tuple(_DECIDERS)
 
 
 # ---------------------------------------------------------------------------
@@ -93,21 +77,23 @@ def parse_input(document) -> FiniteQuandle | FiniteGroup:
     kind = document.get("kind")
     if kind not in ("quandle", "group"):
         raise ParseError(f"unknown kind {kind!r}; expected 'quandle' or 'group'")
+    # Numbers must be JSON integers: type() also rejects bool, an int subclass.
     base = document.get("index_base", 0)
-    if base not in (0, 1):
+    if type(base) is not int or base not in (0, 1):
         raise ParseError(f"index_base must be 0 or 1, got {base!r}")
     table = document.get("table")
     if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
         raise ParseError("table must be a list of lists")
-    try:
-        norm = tuple(tuple(int(v) - base for v in row) for row in table)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"table entries must be integers: {exc}") from None
+    for row in table:
+        for v in row:
+            if type(v) is not int:
+                raise ParseError(f"table entries must be integers, got {v!r}")
+    norm = tuple(tuple(v - base for v in row) for row in table)
     name = document.get("name")
     if kind == "quandle":
         return FiniteQuandle(norm, name=name)
     identity = document.get("identity")
-    if not isinstance(identity, int):
+    if type(identity) is not int:
         raise ParseError("group documents need an integer 'identity'")
     return FiniteGroup(norm, identity - base, name=name)
 
@@ -414,7 +400,6 @@ class RunConfig:
     prop: str | None = None
     strategy: str = "auto"
     caps: SearchCaps = DEFAULT_CAPS
-    threads: int = 1
     max_order: int = 4
     fail_on_no: bool = False
     pretty: bool = False
@@ -446,9 +431,12 @@ def _execute(config: RunConfig) -> tuple[dict, bool]:
     """Produce (report, negative) where negative drives --fail-on-no."""
     if config.command in ("check", "enumerate", "witness") and config.prop not in PROPERTIES:
         raise ParseError(f"property must be one of {', '.join(PROPERTIES)}")
-    if config.command == "check":
+    if config.command in ("check", "witness"):
         q = _load_quandle(config)
         verdict = _DECIDERS[config.prop](q, strategy=config.strategy, caps=config.caps)
+        if config.command == "witness":
+            witness = order_to_json(verdict.witness) if verdict.witness is not None else None
+            return {"command": "witness", "witness": witness}, witness is None
         report = {
             "command": "check",
             "property": config.prop,
@@ -458,7 +446,7 @@ def _execute(config: RunConfig) -> tuple[dict, bool]:
         return report, not verdict.answer
     if config.command == "enumerate":
         q = _load_quandle(config)
-        space = _ENUMERATORS[config.prop](q, config.caps, config.threads)
+        space = _ENUMERATORS[config.prop](q, config.caps)
         report = {
             "command": "enumerate",
             "property": config.prop,
@@ -468,11 +456,6 @@ def _execute(config: RunConfig) -> tuple[dict, bool]:
             "members": [order_to_json(m) for m in space],
         }
         return report, len(space) == 0
-    if config.command == "witness":
-        q = _load_quandle(config)
-        verdict = _DECIDERS[config.prop](q, strategy=config.strategy, caps=config.caps)
-        witness = order_to_json(verdict.witness) if verdict.witness is not None else None
-        return {"command": "witness", "witness": witness}, witness is None
     if config.command == "census":
         records = census(config.max_order, config.caps)
         return {"command": "census", "max_order": config.max_order, "records": records}, False
@@ -528,7 +511,6 @@ def _add_common(p: argparse.ArgumentParser, with_input: bool, with_property: boo
             help="force the structural fast path or the exhaustive tier",
         )
     p.add_argument("--max-enum", type=int, metavar="N", help="cap carrier size for enumeration")
-    p.add_argument("--threads", type=int, default=1, metavar="K")
     p.add_argument("--fail-on-no", action="store_true", help="exit 1 when the answer is no")
     p.add_argument("--pretty", action="store_true", help="indent the JSON report")
     p.add_argument("--output", metavar="FILE", help="write the report to a file instead of stdout")
@@ -566,7 +548,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         prop=getattr(args, "property", None),
         strategy=getattr(args, "strategy", "auto"),
         caps=caps,
-        threads=args.threads,
         max_order=getattr(args, "max_order", 4),
         fail_on_no=args.fail_on_no,
         pretty=args.pretty,
@@ -582,8 +563,16 @@ def main(argv: list[str] | None = None) -> int:
     if config.output:
         with open(config.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
+        return status
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away. Point stdout at devnull so the flush at
+        # interpreter exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return status
 
 

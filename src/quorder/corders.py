@@ -203,121 +203,72 @@ def circular_from_linear(o: LinearOrder) -> CyclicOrder:
 # invariance of a circular ordering under quandle translations
 
 
-def _evaluator(c: CyclicOrder | TripleFunction) -> Callable[[int, int, int], int]:
-    if isinstance(c, CyclicOrder):
-        return c.evaluate
-    return c.value
-
-
-def _size_of(c: CyclicOrder | TripleFunction) -> int:
-    return c.size
+def _invariance_witness(
+    c: CyclicOrder | TripleFunction, q: FiniteQuandle, maps: Sequence[Sequence[int]]
+) -> tuple[int, int, int, int] | None:
+    """First (s, t1, t2, t3) with c(t1,t2,t3) != c(m(t1), m(t2), m(t3)) for
+    m = maps[s], or None."""
+    if c.size != q.size:
+        raise ValueError("carrier sizes differ")
+    ev = c.evaluate if isinstance(c, CyclicOrder) else c.value
+    n = q.size
+    for s, m in enumerate(maps):
+        for t1 in range(n):
+            for t2 in range(n):
+                for t3 in range(n):
+                    if ev(t1, t2, t3) != ev(m[t1], m[t2], m[t3]):
+                        return (s, t1, t2, t3)
+    return None
 
 
 def right_invariance_witness(
     c: CyclicOrder | TripleFunction, q: FiniteQuandle
 ) -> tuple[int, int, int, int] | None:
     """First (s, t1, t2, t3) with c(t1,t2,t3) != c(t1*s, t2*s, t3*s), or None."""
-    if _size_of(c) != q.size:
-        raise ValueError("carrier sizes differ")
-    ev = _evaluator(c)
-    n = q.size
-    cols = q.columns
-    for s in range(n):
-        col = cols[s]
-        for t1 in range(n):
-            for t2 in range(n):
-                for t3 in range(n):
-                    if ev(t1, t2, t3) != ev(col[t1], col[t2], col[t3]):
-                        return (s, t1, t2, t3)
-    return None
+    return _invariance_witness(c, q, q.columns)
 
 
 def left_invariance_witness(
     c: CyclicOrder | TripleFunction, q: FiniteQuandle
 ) -> tuple[int, int, int, int] | None:
     """First (s, t1, t2, t3) with c(t1,t2,t3) != c(s*t1, s*t2, s*t3), or None."""
-    if _size_of(c) != q.size:
-        raise ValueError("carrier sizes differ")
-    ev = _evaluator(c)
-    n = q.size
-    for s in range(n):
-        row = q.rows[s]
-        for t1 in range(n):
-            for t2 in range(n):
-                for t3 in range(n):
-                    if ev(t1, t2, t3) != ev(row[t1], row[t2], row[t3]):
-                        return (s, t1, t2, t3)
-    return None
-
-
-def right_invariance_witnesses(
-    c: CyclicOrder | TripleFunction, q: FiniteQuandle
-) -> tuple[tuple[int, int, int, int], ...]:
-    """Full scan for diagnostics: every violating (s, t1, t2, t3)."""
-    ev = _evaluator(c)
-    n = q.size
-    cols = q.columns
-    return tuple(
-        (s, t1, t2, t3)
-        for s in range(n)
-        for t1 in range(n)
-        for t2 in range(n)
-        for t3 in range(n)
-        if ev(t1, t2, t3) != ev(cols[s][t1], cols[s][t2], cols[s][t3])
-    )
-
-
-def left_invariance_witnesses(
-    c: CyclicOrder | TripleFunction, q: FiniteQuandle
-) -> tuple[tuple[int, int, int, int], ...]:
-    ev = _evaluator(c)
-    n = q.size
-    return tuple(
-        (s, t1, t2, t3)
-        for s in range(n)
-        for t1 in range(n)
-        for t2 in range(n)
-        for t3 in range(n)
-        if ev(t1, t2, t3) != ev(q.rows[s][t1], q.rows[s][t2], q.rows[s][t3])
-    )
+    return _invariance_witness(c, q, q.rows)
 
 
 def is_right_invariant(c: CyclicOrder | TripleFunction, q: FiniteQuandle) -> bool:
-    return right_invariance_witness(c, q) is None
+    return _invariance_witness(c, q, q.columns) is None
 
 
 def is_left_invariant(c: CyclicOrder | TripleFunction, q: FiniteQuandle) -> bool:
-    return left_invariance_witness(c, q) is None
+    return _invariance_witness(c, q, q.rows) is None
 
 
 # ---------------------------------------------------------------------------
 # monotonicity of a ranking under quandle translations
 
 
-def is_right_order(o: LinearOrder, q: FiniteQuandle) -> bool:
-    """Every right translation is strictly increasing for the ranking."""
+def _monotone(o: LinearOrder, q: FiniteQuandle, maps: Sequence[Sequence[int]]) -> bool:
+    """Every map is strictly increasing for the ranking."""
     if o.size != q.size:
         raise ValueError("carrier sizes differ")
     rank = o.rank
-    for col in q.columns:
-        for a in range(q.size):
-            for b in range(q.size):
-                if rank[a] < rank[b] and rank[col[a]] >= rank[col[b]]:
+    n = q.size
+    for m in maps:
+        for a in range(n):
+            for b in range(n):
+                if rank[a] < rank[b] and rank[m[a]] >= rank[m[b]]:
                     return False
     return True
+
+
+def is_right_order(o: LinearOrder, q: FiniteQuandle) -> bool:
+    """Every right translation is strictly increasing for the ranking."""
+    return _monotone(o, q, q.columns)
 
 
 def is_left_order(o: LinearOrder, q: FiniteQuandle) -> bool:
     """Every left translation is strictly increasing for the ranking."""
-    if o.size != q.size:
-        raise ValueError("carrier sizes differ")
-    rank = o.rank
-    for row in q.rows:
-        for a in range(q.size):
-            for b in range(q.size):
-                if rank[a] < rank[b] and rank[row[a]] >= rank[row[b]]:
-                    return False
-    return True
+    return _monotone(o, q, q.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ diffed against each other whenever the carrier is small enough.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterable, Sequence
@@ -108,17 +107,6 @@ class OrderSpace:
         return item in self.members
 
 
-def _partitioned_filter(items: Sequence, predicate: Callable, threads: int) -> list:
-    """Filter preserving order; contiguous chunks may be checked in parallel."""
-    if threads <= 1 or len(items) < 2:
-        return [x for x in items if predicate(x)]
-    chunk = (len(items) + threads - 1) // threads
-    parts = [items[i : i + chunk] for i in range(0, len(items), chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda part: [x for x in part if predicate(x)], parts))
-    return [x for part in results for x in part]
-
-
 # ---------------------------------------------------------------------------
 # ground sets
 
@@ -148,51 +136,15 @@ def enumerate_rankings(n: int, caps: SearchCaps = DEFAULT_CAPS) -> tuple[LinearO
 
 
 # ---------------------------------------------------------------------------
-# enumerated order spaces
-
-
-def enumerate_rco(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS, threads: int = 1) -> OrderSpace:
-    ground = enumerate_circular_orderings(q.size, caps)
-    members = _partitioned_filter(ground, lambda c: is_right_invariant(c, q), threads)
-    return OrderSpace("RCO", q, tuple(members))
-
-
-def enumerate_lco(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS, threads: int = 1) -> OrderSpace:
-    ground = enumerate_circular_orderings(q.size, caps)
-    members = _partitioned_filter(ground, lambda c: is_left_invariant(c, q), threads)
-    return OrderSpace("LCO", q, tuple(members))
-
-
-def enumerate_bicircular(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS, threads: int = 1) -> OrderSpace:
-    ground = enumerate_circular_orderings(q.size, caps)
-    members = _partitioned_filter(
-        ground, lambda c: is_right_invariant(c, q) and is_left_invariant(c, q), threads
-    )
-    return OrderSpace("BCO", q, tuple(members))
-
-
-def enumerate_right_orderings(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS, threads: int = 1) -> OrderSpace:
-    ground = enumerate_rankings(q.size, caps)
-    members = _partitioned_filter(ground, lambda o: is_right_order(o, q), threads)
-    return OrderSpace("RO", q, tuple(members))
-
-
-def enumerate_left_orderings(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS, threads: int = 1) -> OrderSpace:
-    ground = enumerate_rankings(q.size, caps)
-    members = _partitioned_filter(ground, lambda o: is_left_order(o, q), threads)
-    return OrderSpace("LO", q, tuple(members))
-
-
-def enumerate_bi_orderings(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS, threads: int = 1) -> OrderSpace:
-    ground = enumerate_rankings(q.size, caps)
-    members = _partitioned_filter(
-        ground, lambda o: is_right_order(o, q) and is_left_order(o, q), threads
-    )
-    return OrderSpace("BO", q, tuple(members))
-
-
-# ---------------------------------------------------------------------------
 # the structural fast path
+
+RIGHT, LEFT, BOTH = "right translations", "left translations", "left and right translations"
+
+
+def _acting_maps(q: FiniteQuandle, acting: str) -> list[Perm] | None:
+    """The translation maps a certificate names, or None for an unknown name."""
+    maps = {RIGHT: q.columns, LEFT: q.rows, BOTH: q.columns + q.rows}.get(acting)
+    return None if maps is None else list(maps)
 
 
 def cyclic_witness_for_permutations(
@@ -279,110 +231,18 @@ def _first_non_injective_left(q: FiniteQuandle) -> Certificate | None:
     return None
 
 
-def _fast_circular(q: FiniteQuandle, side: str, caps: SearchCaps) -> Verdict:
+def _fast_circular(q: FiniteQuandle, acting: str, caps: SearchCaps) -> Verdict:
     n = q.size
     if n <= 2:
         return Verdict(True, witness=CyclicOrder(tuple(range(n))))
-    if side == "right":
-        maps, acting = list(q.columns), "right translations"
-    else:
+    if acting != RIGHT:
         cert = _first_non_injective_left(q)
         if cert is not None:
             return Verdict(False, certificate=cert)
-        if side == "left":
-            maps, acting = list(q.rows), "left translations"
-        else:
-            maps, acting = list(q.columns) + list(q.rows), "left and right translations"
-    witness, cert = _analyze_action(maps, n, acting, caps.max_closure_size)
+    witness, cert = _analyze_action(_acting_maps(q, acting), n, acting, caps.max_closure_size)
     if witness is not None:
         return Verdict(True, witness=witness)
     return Verdict(False, certificate=cert)
-
-
-def _brute_circular(q: FiniteQuandle, side: str, caps: SearchCaps) -> Verdict:
-    ground = enumerate_circular_orderings(q.size, caps)
-    checks = {
-        "right": lambda c: is_right_invariant(c, q),
-        "left": lambda c: is_left_invariant(c, q),
-        "both": lambda c: is_right_invariant(c, q) and is_left_invariant(c, q),
-    }
-    check = checks[side]
-    for c in ground:
-        if check(c):
-            return Verdict(True, witness=c)
-    return Verdict(
-        False,
-        certificate=Certificate(
-            EXHAUSTED,
-            {"checked": len(ground)},
-            f"none of the {len(ground)} circular orderings is {side}-invariant",
-        ),
-    )
-
-
-def _two_tier(
-    q: FiniteQuandle,
-    strategy: str,
-    caps: SearchCaps,
-    fast: Callable[[], Verdict],
-    brute: Callable[[], Verdict],
-    label: str,
-) -> Verdict:
-    """Run the requested tiers; 'auto' diffs them on small carriers."""
-    if strategy not in ("auto", "fast", "brute"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "fast":
-        return fast()
-    if strategy == "brute":
-        return brute()
-    verdict = fast()
-    if q.size <= caps.oracle_max_n:
-        oracle = brute()
-        if oracle.answer != verdict.answer:
-            raise AssertionError(
-                f"fast path and exhaustive search disagree on {label}: "
-                f"{verdict.answer} vs {oracle.answer}"
-            )
-    return verdict
-
-
-def decide_right_circular(
-    q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS
-) -> Verdict:
-    return _two_tier(
-        q,
-        strategy,
-        caps,
-        lambda: _fast_circular(q, "right", caps),
-        lambda: _brute_circular(q, "right", caps),
-        "right-circular orderability",
-    )
-
-
-def decide_left_circular(
-    q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS
-) -> Verdict:
-    return _two_tier(
-        q,
-        strategy,
-        caps,
-        lambda: _fast_circular(q, "left", caps),
-        lambda: _brute_circular(q, "left", caps),
-        "left-circular orderability",
-    )
-
-
-def decide_bicircular(
-    q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS
-) -> Verdict:
-    return _two_tier(
-        q,
-        strategy,
-        caps,
-        lambda: _fast_circular(q, "both", caps),
-        lambda: _brute_circular(q, "both", caps),
-        "bi-circular orderability",
-    )
 
 
 def _fast_right_orderable(q: FiniteQuandle) -> Verdict:
@@ -422,46 +282,168 @@ def _fast_left_orderable(q: FiniteQuandle) -> Verdict:
     return Verdict(False, certificate=cert)
 
 
-def _brute_linear(q: FiniteQuandle, side: str, caps: SearchCaps) -> Verdict:
-    ground = enumerate_rankings(q.size, caps)
-    check = (lambda o: is_right_order(o, q)) if side == "right" else (lambda o: is_left_order(o, q))
-    for o in ground:
-        if check(o):
-            return Verdict(True, witness=o)
-    return Verdict(
-        False,
-        certificate=Certificate(
-            EXHAUSTED,
-            {"checked": len(ground)},
-            f"none of the {len(ground)} rankings is a {side} ordering",
-        ),
-    )
+# ---------------------------------------------------------------------------
+# the order spaces
 
 
-def decide_right_orderable(
-    q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS
+@dataclass(frozen=True)
+class _Space:
+    """One order space: a ground set filtered by a translation test.
+
+    The callables look their callees up as module globals when called, so a
+    rebinding of, say, `is_right_invariant` is seen by every space using it.
+    BO has no CLI property, so no decision procedure and no census fields.
+    """
+
+    ground: Callable[[int, SearchCaps], tuple]
+    member: Callable[[CyclicOrder | LinearOrder, FiniteQuandle], bool]
+    fast: Callable[[FiniteQuandle, SearchCaps], Verdict] | None = None
+    prop: str | None = None  # CLI property name
+    flag: str | None = None  # census field holding the decision
+    label: str | None = None  # what a decision decides
+    exhausted: str | None = None  # brute-force refutation, given the ground size
+
+
+def _circular(n: int, caps: SearchCaps) -> tuple[CyclicOrder, ...]:
+    return enumerate_circular_orderings(n, caps)
+
+
+def _rankings(n: int, caps: SearchCaps) -> tuple[LinearOrder, ...]:
+    return enumerate_rankings(n, caps)
+
+
+SPACES = {
+    "RCO": _Space(
+        _circular, lambda c, q: is_right_invariant(c, q), lambda q, caps: _fast_circular(q, RIGHT, caps),
+        "right-circular", "right_circularly_orderable", "right-circular orderability",
+        "none of the {} circular orderings is right-invariant",
+    ),
+    "LCO": _Space(
+        _circular, lambda c, q: is_left_invariant(c, q), lambda q, caps: _fast_circular(q, LEFT, caps),
+        "left-circular", "left_circularly_orderable", "left-circular orderability",
+        "none of the {} circular orderings is left-invariant",
+    ),
+    "BCO": _Space(
+        _circular, lambda c, q: is_right_invariant(c, q) and is_left_invariant(c, q),
+        lambda q, caps: _fast_circular(q, BOTH, caps),
+        "bi-circular", "bi_circularly_orderable", "bi-circular orderability",
+        "none of the {} circular orderings is both-invariant",
+    ),
+    "RO": _Space(
+        _rankings, lambda o, q: is_right_order(o, q), lambda q, caps: _fast_right_orderable(q),
+        "right-order", "right_orderable", "right orderability",
+        "none of the {} rankings is a right ordering",
+    ),
+    "LO": _Space(
+        _rankings, lambda o, q: is_left_order(o, q), lambda q, caps: _fast_left_orderable(q),
+        "left-order", "left_orderable", "left orderability",
+        "none of the {} rankings is a left ordering",
+    ),
+    "BO": _Space(_rankings, lambda o, q: is_right_order(o, q) and is_left_order(o, q)),
+}
+
+# one-sided spaces by side: (rankings, circular orderings)
+_SIDES = {"right": ("RO", "RCO"), "left": ("LO", "LCO")}
+
+
+def enumerate_space(kind: str, q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
+    """Every member of the named order space, in ground-set order."""
+    space = SPACES[kind]
+    member = space.member
+    return OrderSpace(kind, q, tuple([x for x in space.ground(q.size, caps) if member(x, q)]))
+
+
+def _brute(kind: str, q: FiniteQuandle, caps: SearchCaps) -> Verdict:
+    space = SPACES[kind]
+    ground = space.ground(q.size, caps)
+    for x in ground:
+        if space.member(x, q):
+            return Verdict(True, witness=x)
+    detail = space.exhausted.format(len(ground))
+    return Verdict(False, certificate=Certificate(EXHAUSTED, {"checked": len(ground)}, detail))
+
+
+def decide(
+    kind: str, q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS
 ) -> Verdict:
-    return _two_tier(
-        q,
-        strategy,
-        caps,
-        lambda: _fast_right_orderable(q),
-        lambda: _brute_linear(q, "right", caps),
-        "right orderability",
-    )
+    """Decide whether the named space (one of the five with a CLI property) is
+    nonempty. Runs the requested tiers; 'auto' diffs them on small carriers."""
+    if strategy not in ("auto", "fast", "brute"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "brute":
+        return _brute(kind, q, caps)
+    space = SPACES[kind]
+    verdict = space.fast(q, caps)
+    if strategy == "auto" and q.size <= caps.oracle_max_n:
+        oracle = _brute(kind, q, caps)
+        if oracle.answer != verdict.answer:
+            raise AssertionError(
+                f"fast path and exhaustive search disagree on {space.label}: "
+                f"{verdict.answer} vs {oracle.answer}"
+            )
+    return verdict
 
 
-def decide_left_orderable(
-    q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS
-) -> Verdict:
-    return _two_tier(
-        q,
-        strategy,
-        caps,
-        lambda: _fast_left_orderable(q),
-        lambda: _brute_linear(q, "left", caps),
-        "left orderability",
-    )
+def enumerate_rco(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
+    return enumerate_space("RCO", q, caps)
+
+
+def enumerate_lco(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
+    return enumerate_space("LCO", q, caps)
+
+
+def enumerate_bicircular(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
+    return enumerate_space("BCO", q, caps)
+
+
+def enumerate_right_orderings(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
+    return enumerate_space("RO", q, caps)
+
+
+def enumerate_left_orderings(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
+    return enumerate_space("LO", q, caps)
+
+
+def enumerate_bi_orderings(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
+    return enumerate_space("BO", q, caps)
+
+
+def decide_right_circular(q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS) -> Verdict:
+    return decide("RCO", q, strategy, caps)
+
+
+def decide_left_circular(q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS) -> Verdict:
+    return decide("LCO", q, strategy, caps)
+
+
+def decide_bicircular(q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS) -> Verdict:
+    return decide("BCO", q, strategy, caps)
+
+
+def decide_right_orderable(q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS) -> Verdict:
+    return decide("RO", q, strategy, caps)
+
+
+def decide_left_orderable(q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS) -> Verdict:
+    return decide("LO", q, strategy, caps)
+
+
+# By CLI property. The census and the CLI dispatch through these same dicts,
+# so rebinding an entry reaches both.
+DECIDERS = {
+    "right-circular": decide_right_circular,
+    "left-circular": decide_left_circular,
+    "bi-circular": decide_bicircular,
+    "right-order": decide_right_orderable,
+    "left-order": decide_left_orderable,
+}
+ENUMERATORS = {
+    "right-circular": enumerate_rco,
+    "left-circular": enumerate_lco,
+    "bi-circular": enumerate_bicircular,
+    "right-order": enumerate_right_orderings,
+    "left-order": enumerate_left_orderings,
+}
 
 
 def recheck_certificate(q: FiniteQuandle, cert: Certificate) -> bool:
@@ -472,12 +454,7 @@ def recheck_certificate(q: FiniteQuandle, cert: Certificate) -> bool:
     """
     data = cert.data
     if cert.kind in (NON_CYCLIC, NON_SEMIREGULAR):
-        acting = data["acting"]
-        maps = {
-            "right translations": list(q.columns),
-            "left translations": list(q.rows),
-            "left and right translations": list(q.columns) + list(q.rows),
-        }.get(acting)
+        maps = _acting_maps(q, data["acting"])
         if maps is None:
             return False
         g = closure(maps, q.size)
@@ -510,6 +487,12 @@ def recheck_certificate(q: FiniteQuandle, cert: Certificate) -> bool:
 # subbasis sets
 
 
+def _side(side: str) -> tuple[str, str]:
+    if side not in _SIDES:
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    return _SIDES[side]
+
+
 def _require_nondegenerate(s: tuple[int, int, int]) -> None:
     x, y, z = s
     if x == y or y == z or x == z:
@@ -521,7 +504,7 @@ def subbasic_right(
 ) -> tuple[CyclicOrder, ...]:
     """Members of RCO taking the value +1 on the given nondegenerate triple."""
     _require_nondegenerate(s)
-    return tuple(c for c in enumerate_rco(q, caps) if c.evaluate(*s) == 1)
+    return tuple(c for c in enumerate_space("RCO", q, caps) if c.evaluate(*s) == 1)
 
 
 def subbasic_left(
@@ -529,7 +512,7 @@ def subbasic_left(
 ) -> tuple[CyclicOrder, ...]:
     """Members of LCO taking the value +1 on the given nondegenerate triple."""
     _require_nondegenerate(s)
-    return tuple(c for c in enumerate_lco(q, caps) if c.evaluate(*s) == 1)
+    return tuple(c for c in enumerate_space("LCO", q, caps) if c.evaluate(*s) == 1)
 
 
 def subbasic_linear(
@@ -539,8 +522,8 @@ def subbasic_linear(
     a, b = pair
     if a == b:
         raise DiagonalPair(f"pair {pair} lies on the diagonal")
-    space = enumerate_right_orderings(q, caps) if side == "right" else enumerate_left_orderings(q, caps)
-    return tuple(o for o in space if o.before(a, b))
+    linear, _ = _side(side)
+    return tuple(o for o in enumerate_space(linear, q, caps) if o.before(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +560,9 @@ def embedding_image(
     rankings that are cyclic rotations of one another share an image point, so
     fibers of size greater than one are expected and reported as-is.
     """
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    space = enumerate_right_orderings(q, caps) if side == "right" else enumerate_left_orderings(q, caps)
-    invariant = is_right_invariant if side == "right" else is_left_invariant
+    linear, circular = _side(side)
+    space = enumerate_space(linear, q, caps)
+    invariant = SPACES[circular].member
     buckets: dict[CyclicOrder, list[LinearOrder]] = {}
     for o in space:
         c = circular_from_linear(o)
@@ -690,29 +672,21 @@ def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
     space sizes record how large the finite RCO/LCO/RO/LO spaces actually
     come out, not just whether they are empty.
     """
+    spaces = [(f"{kind.lower()}_size", s) for kind, s in SPACES.items() if s.prop is not None]
     records = []
     for n in range(1, max_n + 1):
         reps = generate_all_quandles(n, up_to_iso=True, caps=caps)
         canon = sorted(canonical_form(q) for q in reps)
         for class_id, table in enumerate(canon):
             q = FiniteQuandle(table)
-            sizes = {
-                "rco_size": len(enumerate_rco(q, caps)),
-                "lco_size": len(enumerate_lco(q, caps)),
-                "bco_size": len(enumerate_bicircular(q, caps)),
-                "ro_size": len(enumerate_right_orderings(q, caps)),
-                "lo_size": len(enumerate_left_orderings(q, caps)),
-            }
+            sizes = {size: len(ENUMERATORS[s.prop](q, caps)) for size, s in spaces}
+            flags = {s.flag: DECIDERS[s.prop](q, caps=caps).answer for _, s in spaces}
             records.append(
                 {
                     "order": n,
                     "class_id": class_id,
                     "representative_table": [list(row) for row in table],
-                    "right_circularly_orderable": decide_right_circular(q, caps=caps).answer,
-                    "left_circularly_orderable": decide_left_circular(q, caps=caps).answer,
-                    "bi_circularly_orderable": decide_bicircular(q, caps=caps).answer,
-                    "right_orderable": decide_right_orderable(q, caps=caps).answer,
-                    "left_orderable": decide_left_orderable(q, caps=caps).answer,
+                    **flags,
                     **sizes,
                     "latin": is_latin(q),
                     "involutory": is_involutory(q),

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -76,6 +78,27 @@ class TestParseInput:
     def test_malformed_documents(self, doc):
         with pytest.raises(ParseError):
             parse_input(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "quandle", "table": [[0, 0.9], [1, 1]]},
+            {"kind": "quandle", "table": [[0, 0.0], [1, 1]]},
+            {"kind": "quandle", "table": [[0, False], [True, True]]},
+            {"kind": "quandle", "table": [["0", "0"], ["1", "1"]]},
+            {"kind": "quandle", "index_base": True, "table": [[1, 1], [2, 2]]},
+            {"kind": "quandle", "index_base": 0.0, "table": [[0, 0], [1, 1]]},
+            {"kind": "group", "identity": False, "table": [[0, 1], [1, 0]]},
+        ],
+    )
+    def test_numbers_must_be_plain_integers(self, doc, tmp_path):
+        with pytest.raises(ParseError):
+            parse_input(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        report, status = run(RunConfig(command="check", input_path=str(path), prop="right-circular"))
+        assert status == 2
+        assert report["error"]["kind"] == "ParseError"
 
 
 class TestRoundTrips:
@@ -251,13 +274,6 @@ class TestDeterminism:
         r1 = render_report(run(RunConfig(command="check", input_path=str(one), prop="left-circular"))[0])
         assert r0 == r1
 
-    def test_threads_flag_does_not_change_report(self):
-        base = RunConfig(command="enumerate", builtin="trivial:4", prop="right-circular")
-        threaded = RunConfig(
-            command="enumerate", builtin="trivial:4", prop="right-circular", threads=3
-        )
-        assert render_report(run(base)[0]) == render_report(run(threaded)[0])
-
 
 class TestMain:
     def test_check_via_argv(self, capsys):
@@ -325,6 +341,42 @@ class TestMain:
     def test_parser_requires_source(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["check", "--property", "right-circular"])
+
+    @pytest.mark.parametrize(
+        "prop, detail",
+        [
+            ("right-circular", "none of the 2 circular orderings is right-invariant"),
+            ("left-circular", "none of the 2 circular orderings is left-invariant"),
+            ("bi-circular", "none of the 2 circular orderings is both-invariant"),
+            ("right-order", "none of the 6 rankings is a right ordering"),
+            ("left-order", "none of the 6 rankings is a left ordering"),
+        ],
+    )
+    def test_brute_force_certificate_text(self, capsys, prop, detail):
+        argv = ["check", "--builtin", "dihedral:3", "--property", prop, "--strategy", "brute"]
+        assert main(argv) == 0
+        cert = json.loads(capsys.readouterr().out)["verdict"]["certificate"]
+        assert cert == {
+            "kind": "exhaustive-search",
+            "data": {"checked": 6 if prop.endswith("order") else 2},
+            "detail": detail,
+        }
+
+    def test_closed_stdout_ends_quietly(self):
+        # the report (about 140 kB) outgrows the pipe buffer, so the write
+        # meets the closed pipe
+        argv = ["enumerate", "--builtin", "trivial:7", "--property", "right-order"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quorder.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(20) == b'{"command":"enumerat'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
 
 class TestVerifyPaperChecks:

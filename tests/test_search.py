@@ -116,11 +116,6 @@ class TestEnumerateSpaces:
         assert enumerate_left_orderings(q).members == (LinearOrder((0,)),)
         assert enumerate_bi_orderings(q).members == (LinearOrder((0,)),)
 
-    def test_threads_do_not_change_results(self):
-        q = conj_quandle(symmetric_group(3))
-        assert enumerate_rco(q, threads=3).members == enumerate_rco(q).members
-        assert enumerate_right_orderings(q, threads=4).members == enumerate_right_orderings(q).members
-
 
 class TestWitnessEngine:
     def test_identity_maps(self):
