@@ -3,7 +3,8 @@ enumeration, census, and the bundled verification suite of known small cases.
 
 All reports are a single JSON document on standard output. Exit codes:
 0 the run completed (whatever the mathematical answer), 1 the answer was
-negative and --fail-on-no was set, 2 bad input, 3 a resource cap was hit.
+negative and --fail-on-no was set, 2 bad input, 3 a resource cap was hit,
+4 two independent computations of one answer disagreed (a bug in quorder).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .corders import (
 )
 from .errors import (
     DegenerateTriple,
+    InternalInconsistency,
     NotAGroup,
     NotAQuandle,
     ParseError,
@@ -481,6 +483,10 @@ def run(config: RunConfig) -> tuple[dict, int]:
         return {
             "error": {"kind": "not-a-group", "reason": exc.reason, "witness": list(exc.witness), "detail": str(exc)}
         }, 2
+    except InternalInconsistency as exc:
+        return {
+            "error": {"kind": "internal-inconsistency", "space": exc.space, "verdicts": exc.verdicts, "detail": str(exc)}
+        }, 4
     except QuorderError as exc:
         return {"error": {"kind": type(exc).__name__, "detail": str(exc)}}, 2
     status = 1 if (config.fail_on_no and negative) else 0

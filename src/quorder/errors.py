@@ -81,5 +81,18 @@ class ResourceLimit(QuorderError):
         super().__init__(f"{what}: requested {requested} exceeds cap {cap}")
 
 
+class InternalInconsistency(QuorderError):
+    """Two independent computations of one answer disagree: a bug, not bad input.
+
+    `space` names the order space (RCO, LCO, ...) and `verdicts` maps each
+    computation to the answer it gave.
+    """
+
+    def __init__(self, space: str, verdicts: dict[str, bool], detail: str):
+        self.space = space
+        self.verdicts = dict(verdicts)
+        super().__init__(detail)
+
+
 class ParseError(QuorderError):
     """Malformed input document or builtin spec."""

@@ -24,7 +24,13 @@ from .corders import (
     is_right_invariant,
     is_right_order,
 )
-from .errors import DegenerateTriple, DiagonalPair, NotAPermutation, ResourceLimit
+from .errors import (
+    DegenerateTriple,
+    DiagonalPair,
+    InternalInconsistency,
+    NotAPermutation,
+    ResourceLimit,
+)
 from .groups import (
     Perm,
     PermutationGroup,
@@ -377,9 +383,11 @@ def decide(
     if strategy == "auto" and q.size <= caps.oracle_max_n:
         oracle = _brute(kind, q, caps)
         if oracle.answer != verdict.answer:
-            raise AssertionError(
+            raise InternalInconsistency(
+                kind,
+                {"fast": verdict.answer, "brute": oracle.answer},
                 f"fast path and exhaustive search disagree on {space.label}: "
-                f"{verdict.answer} vs {oracle.answer}"
+                f"{verdict.answer} vs {oracle.answer}",
             )
     return verdict
 
@@ -450,12 +458,16 @@ def recheck_certificate(q: FiniteQuandle, cert: Certificate) -> bool:
     """Re-validate a refutation certificate directly against the quandle.
 
     Group-theoretic reasons are recomputed from the closure of the named
-    translation maps; pointwise reasons are checked against the table.
+    translation maps, which must all be permutations; pointwise reasons are
+    checked against the table; an exhaustive-search certificate is accepted
+    only when the scan of the space its detail names, redone under the
+    default caps, refutes the space over exactly the stated number of
+    candidates.
     """
     data = cert.data
     if cert.kind in (NON_CYCLIC, NON_SEMIREGULAR):
         maps = _acting_maps(q, data["acting"])
-        if maps is None:
+        if maps is None or not all(is_permutation(m, q.size) for m in maps):
             return False
         g = closure(maps, q.size)
         if g.order != data["group_order"]:
@@ -479,7 +491,9 @@ def recheck_certificate(q: FiniteQuandle, cert: Certificate) -> bool:
     if cert.kind == NON_IDENTITY_LEFT:
         return q.op(data["base"], data["point"]) == data["image"] != data["point"]
     if cert.kind == EXHAUSTED:
-        return data["checked"] >= 1
+        for kind, space in SPACES.items():
+            if space.exhausted is not None and cert.detail == space.exhausted.format(data.get("checked")):
+                return _brute(kind, q, DEFAULT_CAPS).certificate == cert
     return False
 
 
@@ -569,8 +583,10 @@ def embedding_image(
         buckets.setdefault(c, []).append(o)
     for c in buckets:
         if not invariant(c, q):
-            raise AssertionError(
-                f"image of a {side} ordering failed the {side}-invariance re-check: {c}"
+            raise InternalInconsistency(
+                circular,
+                {"ordering-image": True, "invariance": False},
+                f"image of a {side} ordering failed the {side}-invariance re-check: {c}",
             )
     image = tuple(sorted(buckets, key=lambda c: c.arrangement))
     fibers = tuple((c, tuple(buckets[c])) for c in image)

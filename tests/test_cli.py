@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from quorder import (
     symmetric_group,
     trivial_quandle,
 )
+from quorder import search
 from quorder.cli import (
     RunConfig,
     build_parser,
@@ -361,6 +363,18 @@ class TestMain:
             "data": {"checked": 6 if prop.endswith("order") else 2},
             "detail": detail,
         }
+
+    def test_internal_inconsistency_exit_code(self, capsys, monkeypatch):
+        wrong = search.Verdict(
+            False, certificate=search.Certificate(search.EXHAUSTED, {"checked": 0}, "wrong")
+        )
+        monkeypatch.setitem(search.SPACES, "RCO", replace(search.SPACES["RCO"], fast=lambda q, caps: wrong))
+        argv = ["check", "--builtin", "trivial:3", "--property", "right-circular", "--fail-on-no"]
+        assert main(argv) == 4
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "internal-inconsistency"
+        assert error["space"] == "RCO"
+        assert error["verdicts"] == {"fast": False, "brute": True}
 
     def test_closed_stdout_ends_quietly(self):
         # the report (about 140 kB) outgrows the pipe buffer, so the write

@@ -1,4 +1,5 @@
 from itertools import permutations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from quorder import (
     cocycle_defect,
     cyclic_to_function,
     dihedral_quandle,
+    enumerate_circular_orderings,
+    enumerate_rankings,
     enumerate_triple_functions,
     function_to_cyclic,
     is_degenerate_triple,
@@ -29,12 +32,31 @@ from quorder import (
     trivial_quandle,
     validate_triple_function,
 )
+from quorder.search import enumerate_space
 
 
 def all_arrangements(n):
     if n <= 2:
         return [CyclicOrder(tuple(range(n)))]
     return [CyclicOrder((0, *rest)) for rest in permutations(range(1, n))]
+
+
+def pairwise_monotone(o, maps):
+    """Reference scan: every map is strictly increasing on every ordered pair."""
+    rank = o.rank
+    n = o.size
+    return all(
+        rank[m[a]] < rank[m[b]]
+        for m in maps
+        for a in range(n)
+        for b in range(n)
+        if rank[a] < rank[b]
+    )
+
+
+def translations(n, maps):
+    """A stand-in exposing arbitrary maps as both translation families."""
+    return SimpleNamespace(size=n, columns=maps, rows=maps)
 
 
 def naive_circular_functions(n):
@@ -262,6 +284,106 @@ class TestLinearInvariance:
 
     def test_dihedral_identity_ranking_not_right(self):
         assert not is_right_order(LinearOrder((0, 1, 2)), dihedral_quandle(3))
+
+
+class TestMembershipMatchesDefinition:
+    """The structural membership tests against the definitional scans."""
+
+    def test_invariance_on_every_arrangement_up_to_4(self, labeled_catalog):
+        for quandles in labeled_catalog.values():
+            for q in quandles:
+                for c in all_arrangements(q.size):
+                    assert is_right_invariant(c, q) == (right_invariance_witness(c, q) is None)
+                    assert is_left_invariant(c, q) == (left_invariance_witness(c, q) is None)
+
+    def test_monotonicity_on_every_ranking_up_to_4(self, labeled_catalog):
+        for quandles in labeled_catalog.values():
+            for q in quandles:
+                for p in permutations(range(q.size)):
+                    o = LinearOrder(p)
+                    assert is_right_order(o, q) == pairwise_monotone(o, q.columns)
+                    assert is_left_order(o, q) == pairwise_monotone(o, q.rows)
+
+    def test_spaces_match_definitional_filter_on_classes_up_to_5(self, class_catalog):
+        def right(c, q):
+            return right_invariance_witness(c, q) is None
+
+        def left(c, q):
+            return left_invariance_witness(c, q) is None
+
+        definitions = {
+            "RCO": (enumerate_circular_orderings, right),
+            "LCO": (enumerate_circular_orderings, left),
+            "BCO": (enumerate_circular_orderings, lambda c, q: right(c, q) and left(c, q)),
+            "RO": (enumerate_rankings, lambda o, q: pairwise_monotone(o, q.columns)),
+            "LO": (enumerate_rankings, lambda o, q: pairwise_monotone(o, q.rows)),
+            "BO": (
+                enumerate_rankings,
+                lambda o, q: pairwise_monotone(o, q.columns) and pairwise_monotone(o, q.rows),
+            ),
+        }
+        classes = [q for n in range(1, 6) for q in class_catalog[n]]
+        assert len(classes) == 34
+        for q in classes:
+            for kind, (ground, member) in definitions.items():
+                expected = tuple(x for x in ground(q.size) if member(x, q))
+                assert enumerate_space(kind, q).members == expected, (kind, q.table)
+
+
+maps_on_small_carriers = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.permutations(range(n)),
+        st.lists(
+            st.one_of(
+                st.permutations(range(n)).map(tuple),
+                st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_on_small_carriers)
+def test_invariance_matches_definition_on_random_maps(case):
+    n, rest, maps = case
+    c = CyclicOrder.from_cycle(rest)
+    q = translations(n, maps)
+    assert is_right_invariant(c, q) == (right_invariance_witness(c, q) is None)
+    assert is_left_invariant(c, q) == (left_invariance_witness(c, q) is None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_on_small_carriers)
+def test_monotonicity_matches_pairwise_scan_on_random_maps(case):
+    n, ranking, maps = case
+    o = LinearOrder(tuple(ranking))
+    q = translations(n, maps)
+    assert is_right_order(o, q) == pairwise_monotone(o, maps)
+    assert is_left_order(o, q) == pairwise_monotone(o, maps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=3, max_value=6), st.randoms(use_true_random=False))
+def test_rotations_of_an_arrangement_are_invariant(n, rng):
+    # random maps are rarely rotations, so build the accepting case directly
+    rest = list(range(n))
+    rng.shuffle(rest)
+    c = CyclicOrder.from_cycle(rest)
+    arr = c.arrangement
+    maps = []
+    for _ in range(rng.randrange(1, 4)):
+        k = rng.randrange(n)
+        m = [0] * n
+        for i, x in enumerate(arr):
+            m[x] = arr[(i + k) % n]
+        maps.append(tuple(m))
+    q = translations(n, maps)
+    assert is_right_invariant(c, q)
+    assert right_invariance_witness(c, q) is None
 
 
 class TestRotationCharacterization:

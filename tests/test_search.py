@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
@@ -6,6 +7,7 @@ from quorder import (
     CyclicOrder,
     DegenerateTriple,
     DiagonalPair,
+    InternalInconsistency,
     LinearOrder,
     NotAPermutation,
     ResourceLimit,
@@ -49,7 +51,17 @@ from quorder import (
     symmetric_group,
     trivial_quandle,
 )
-from quorder.search import NON_CYCLIC, NON_IDENTITY_RIGHT, NON_INJECTIVE_LEFT, NON_SEMIREGULAR
+from quorder import search
+from quorder.search import (
+    EXHAUSTED,
+    LEFT,
+    NON_CYCLIC,
+    NON_IDENTITY_RIGHT,
+    NON_INJECTIVE_LEFT,
+    NON_SEMIREGULAR,
+    Certificate,
+    decide,
+)
 
 THREE_ELT = quandle_from_table([[0, 0, 1], [1, 1, 0], [2, 2, 2]])
 
@@ -221,6 +233,16 @@ class TestDecisions:
         with pytest.raises(ValueError):
             decide_right_circular(q, strategy="guess")
 
+    def test_disagreeing_tiers_raise_internal_inconsistency(self, monkeypatch):
+        wrong = Verdict(False, certificate=Certificate(EXHAUSTED, {"checked": 0}, "wrong"))
+        monkeypatch.setitem(search.SPACES, "RCO", replace(search.SPACES["RCO"], fast=lambda q, caps: wrong))
+        with pytest.raises(InternalInconsistency) as info:
+            decide_right_circular(trivial_quandle(3))
+        assert info.value.space == "RCO"
+        assert info.value.verdicts == {"fast": False, "brute": True}
+        # forcing one tier skips the diff
+        assert decide_right_circular(trivial_quandle(3), strategy="fast") is wrong
+
     def test_verdict_shape_enforced(self):
         with pytest.raises(ValueError):
             Verdict(True)
@@ -244,6 +266,36 @@ class TestCertificates:
                         assert v.certificate is None
                     else:
                         assert recheck_certificate(q, v.certificate)
+
+    def test_brute_certificates_recheck(self):
+        q = dihedral_quandle(3)
+        for kind in ("RCO", "LCO", "BCO", "RO", "LO"):
+            v = decide(kind, q, strategy="brute")
+            assert v.certificate.kind == EXHAUSTED
+            assert recheck_certificate(q, v.certificate), kind
+
+    def test_forged_exhaustive_certificate_rejected(self):
+        q = trivial_quandle(3)  # RCO has 2 members
+        rco = "none of the 2 circular orderings is right-invariant"
+        lco = "none of the 2 circular orderings is left-invariant"
+        assert not recheck_certificate(q, Certificate(EXHAUSTED, {"checked": 1}, "forged"))
+        assert not recheck_certificate(q, Certificate(EXHAUSTED, {"checked": 2}, rco))
+        # LCO of trivial:3 is empty, but the count must be the one scanned
+        assert recheck_certificate(q, Certificate(EXHAUSTED, {"checked": 2}, lco))
+        wrong_count = lco.replace("2", "3")
+        assert not recheck_certificate(q, Certificate(EXHAUSTED, {"checked": 3}, wrong_count))
+        assert not recheck_certificate(q, Certificate(EXHAUSTED, {}, lco))
+
+    def test_group_certificate_naming_non_bijective_maps_rejected(self):
+        q = trivial_quandle(3)  # every row is constant
+        cert = Certificate(NON_CYCLIC, {"acting": LEFT, "group_order": 1}, "forged")
+        assert recheck_certificate(q, cert) is False
+        cert = Certificate(
+            NON_SEMIREGULAR,
+            {"acting": LEFT, "group_order": 1, "permutation": [0, 1, 2], "fixed_point": 0},
+            "forged",
+        )
+        assert recheck_certificate(q, cert) is False
 
     def test_witnesses_pass_invariance(self, labeled_catalog):
         for n, quandles in labeled_catalog.items():
@@ -322,6 +374,12 @@ class TestEmbedding:
         assert sorted(seen, key=lambda o: o.ranking) == sorted(
             report.domain, key=lambda o: o.ranking
         )
+
+    def test_failed_recheck_raises_internal_inconsistency(self, monkeypatch):
+        monkeypatch.setitem(search.SPACES, "RCO", replace(search.SPACES["RCO"], member=lambda c, q: False))
+        with pytest.raises(InternalInconsistency) as info:
+            embedding_image(trivial_quandle(3), "right")
+        assert info.value.space == "RCO"
 
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError):
