@@ -18,10 +18,8 @@ from dataclasses import dataclass, replace
 from .corders import (
     CyclicOrder,
     LinearOrder,
-    TripleFunction,
     circular_from_linear,
     cyclic_to_function,
-    is_degenerate_triple,
 )
 from .errors import (
     DegenerateTriple,
@@ -107,49 +105,10 @@ def quandle_to_json(q: FiniteQuandle) -> dict:
     return doc
 
 
-def group_to_json(g: FiniteGroup) -> dict:
-    doc = {
-        "kind": "group",
-        "index_base": 0,
-        "identity": g.identity,
-        "table": [list(row) for row in g.table],
-    }
-    if g.name is not None:
-        doc["name"] = g.name
-    return doc
-
-
 def order_to_json(order: CyclicOrder | LinearOrder) -> dict:
     if isinstance(order, CyclicOrder):
         return {"arrangement": list(order.arrangement)}
     return {"ranking": list(order.ranking)}
-
-
-def order_from_json(doc: dict) -> CyclicOrder | LinearOrder:
-    if "arrangement" in doc:
-        return CyclicOrder(tuple(doc["arrangement"]))
-    if "ranking" in doc:
-        return LinearOrder(tuple(doc["ranking"]))
-    raise ParseError("order document needs 'arrangement' or 'ranking'")
-
-
-def triple_function_to_json(f: TripleFunction) -> list:
-    """Nondegenerate entries only; degenerate triples are 0 by definition."""
-    n = f.size
-    return [
-        [x, y, z, f.value(x, y, z)]
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
-        if not is_degenerate_triple(x, y, z)
-    ]
-
-
-def triple_function_from_json(n: int, entries: list) -> TripleFunction:
-    dense = [0] * n**3
-    for x, y, z, v in entries:
-        dense[(x * n + y) * n + z] = v
-    return TripleFunction(n, tuple(dense))
 
 
 def verdict_to_json(v: Verdict) -> dict:

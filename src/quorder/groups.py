@@ -244,8 +244,9 @@ class PermutationGroup:
 def closure(generators: Iterable[Perm], degree: int, max_size: int | None = 10000) -> PermutationGroup:
     """Smallest permutation group containing the generators.
 
-    Breadth-first products from the identity; generators are inverted up
-    front, so inverse-closure comes for free once the set stabilizes.
+    Breadth-first products of the generators alone, from the identity. In a
+    finite group every inverse is a positive power (p^-1 = p^(k-1) for p of
+    order k), so the products already reach the whole generated group.
     """
     gens = []
     for g in generators:
@@ -253,7 +254,6 @@ def closure(generators: Iterable[Perm], degree: int, max_size: int | None = 1000
         if not is_permutation(g, degree):
             raise NotAPermutation(g)
         gens.append(g)
-    gens.extend([invert(g) for g in list(gens)])
     ident = identity_perm(degree)
     seen = {ident}
     frontier = [ident]

@@ -6,7 +6,9 @@ carrier (n >= 3) preserves some cyclic arrangement exactly when the group it
 generates is cyclic and acts without nontrivial fixed points, in which case
 an invariant arrangement interleaves the orbits of a generator. The brute
 tier filters the full finite space of arrangements or rankings. The two are
-diffed against each other whenever the carrier is small enough.
+diffed against each other whenever the carrier is small enough: `decide`'s
+auto strategy runs both, and `census` checks every fast-path verdict against
+its own enumeration of the space.
 """
 
 from __future__ import annotations
@@ -149,6 +151,8 @@ RIGHT, LEFT, BOTH = "right translations", "left translations", "left and right t
 
 def _acting_maps(q: FiniteQuandle, acting: str) -> list[Perm] | None:
     """The translation maps a certificate names, or None for an unknown name."""
+    if not isinstance(acting, str):
+        return None
     maps = {RIGHT: q.columns, LEFT: q.rows, BOTH: q.columns + q.rows}.get(acting)
     return None if maps is None else list(maps)
 
@@ -369,6 +373,18 @@ def _brute(kind: str, q: FiniteQuandle, caps: SearchCaps) -> Verdict:
     return Verdict(False, certificate=Certificate(EXHAUSTED, {"checked": len(ground)}, detail))
 
 
+def _agree(kind: str, fast: bool, exhaustive: bool) -> None:
+    """Raise InternalInconsistency unless the fast path's answer for the
+    space matches the one an exhaustive scan gave."""
+    if fast != exhaustive:
+        raise InternalInconsistency(
+            kind,
+            {"fast": fast, "brute": exhaustive},
+            f"fast path and exhaustive search disagree on {SPACES[kind].label}: "
+            f"{fast} vs {exhaustive}",
+        )
+
+
 def decide(
     kind: str, q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS
 ) -> Verdict:
@@ -378,17 +394,9 @@ def decide(
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "brute":
         return _brute(kind, q, caps)
-    space = SPACES[kind]
-    verdict = space.fast(q, caps)
+    verdict = SPACES[kind].fast(q, caps)
     if strategy == "auto" and q.size <= caps.oracle_max_n:
-        oracle = _brute(kind, q, caps)
-        if oracle.answer != verdict.answer:
-            raise InternalInconsistency(
-                kind,
-                {"fast": verdict.answer, "brute": oracle.answer},
-                f"fast path and exhaustive search disagree on {space.label}: "
-                f"{verdict.answer} vs {oracle.answer}",
-            )
+        _agree(kind, verdict.answer, _brute(kind, q, caps).answer)
     return verdict
 
 
@@ -454,6 +462,13 @@ ENUMERATORS = {
 }
 
 
+def _points(q: FiniteQuandle, values) -> bool:
+    """True iff values is a list of plain ints (not bools), each a point of q."""
+    return isinstance(values, (list, tuple)) and all(
+        type(v) is int and 0 <= v < q.size for v in values
+    )
+
+
 def recheck_certificate(q: FiniteQuandle, cert: Certificate) -> bool:
     """Re-validate a refutation certificate directly against the quandle.
 
@@ -462,20 +477,26 @@ def recheck_certificate(q: FiniteQuandle, cert: Certificate) -> bool:
     checked against the table; an exhaustive-search certificate is accepted
     only when the scan of the space its detail names, redone under the
     default caps, refutes the space over exactly the stated number of
-    candidates.
+    candidates. Malformed data (not a dict, a missing key, an index that is
+    not a plain int naming a point) is rejected, never raised on.
     """
     data = cert.data
+    if not isinstance(data, dict):
+        return False
     if cert.kind in (NON_CYCLIC, NON_SEMIREGULAR):
-        maps = _acting_maps(q, data["acting"])
+        maps = _acting_maps(q, data.get("acting"))
         if maps is None or not all(is_permutation(m, q.size) for m in maps):
             return False
         g = closure(maps, q.size)
-        if g.order != data["group_order"]:
+        if type(data.get("group_order")) is not int or g.order != data["group_order"]:
             return False
         if cert.kind == NON_CYCLIC:
             return not is_cyclic(g)
-        perm = tuple(data["permutation"])
-        point = data["fixed_point"]
+        perm = data.get("permutation")
+        point = data.get("fixed_point")
+        if not (_points(q, perm) and _points(q, [point])):
+            return False
+        perm = tuple(perm)
         return (
             perm in g.elements
             and perm != identity_perm(q.size)
@@ -483,13 +504,17 @@ def recheck_certificate(q: FiniteQuandle, cert: Certificate) -> bool:
             and not is_semiregular(g)
         )
     if cert.kind == NON_INJECTIVE_LEFT:
-        s = data["base"]
-        t1, t2 = data["pair"]
-        return t1 != t2 and q.op(s, t1) == q.op(s, t2) == data["image"]
-    if cert.kind == NON_IDENTITY_RIGHT:
-        return q.op(data["point"], data["base"]) == data["image"] != data["point"]
-    if cert.kind == NON_IDENTITY_LEFT:
-        return q.op(data["base"], data["point"]) == data["image"] != data["point"]
+        s, pair, image = data.get("base"), data.get("pair"), data.get("image")
+        if not (_points(q, [s, image]) and _points(q, pair) and len(pair) == 2):
+            return False
+        t1, t2 = pair
+        return t1 != t2 and q.op(s, t1) == q.op(s, t2) == image
+    if cert.kind in (NON_IDENTITY_RIGHT, NON_IDENTITY_LEFT):
+        s, t, image = data.get("base"), data.get("point"), data.get("image")
+        if not _points(q, [s, t, image]):
+            return False
+        moved = q.op(t, s) if cert.kind == NON_IDENTITY_RIGHT else q.op(s, t)
+        return moved == image != t
     if cert.kind == EXHAUSTED:
         for kind, space in SPACES.items():
             if space.exhausted is not None and cert.detail == space.exhausted.format(data.get("checked")):
@@ -686,17 +711,24 @@ def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
     Classes are keyed by their canonical (lexicographically least) table and
     numbered in that order, so reports are stable under relabeling. The
     space sizes record how large the finite RCO/LCO/RO/LO spaces actually
-    come out, not just whether they are empty.
+    come out, not just whether they are empty. Each space is scanned once:
+    its flag is the fast path's answer, diffed against the enumeration (the
+    brute tier) on every class.
     """
-    spaces = [(f"{kind.lower()}_size", s) for kind, s in SPACES.items() if s.prop is not None]
+    spaces = [(kind, s) for kind, s in SPACES.items() if s.prop is not None]
     records = []
     for n in range(1, max_n + 1):
         reps = generate_all_quandles(n, up_to_iso=True, caps=caps)
         canon = sorted(canonical_form(q) for q in reps)
         for class_id, table in enumerate(canon):
             q = FiniteQuandle(table)
-            sizes = {size: len(ENUMERATORS[s.prop](q, caps)) for size, s in spaces}
-            flags = {s.flag: DECIDERS[s.prop](q, caps=caps).answer for _, s in spaces}
+            flags, sizes = {}, {}
+            for kind, s in spaces:
+                size = len(ENUMERATORS[s.prop](q, caps))
+                flag = DECIDERS[s.prop](q, strategy="fast", caps=caps).answer
+                _agree(kind, flag, size > 0)
+                flags[s.flag] = flag
+                sizes[f"{kind.lower()}_size"] = size
             records.append(
                 {
                     "order": n,

@@ -6,14 +6,11 @@ from dataclasses import replace
 import pytest
 
 from quorder import (
-    CyclicOrder,
     FiniteGroup,
     FiniteQuandle,
-    LinearOrder,
     NotAQuandle,
     ParseError,
     cyclic_group,
-    cyclic_to_function,
     dihedral_quandle,
     symmetric_group,
     trivial_quandle,
@@ -23,17 +20,12 @@ from quorder.cli import (
     RunConfig,
     build_parser,
     group_from_spec,
-    group_to_json,
     main,
-    order_from_json,
-    order_to_json,
     parse_input,
     quandle_from_builtin,
     quandle_to_json,
     render_report,
     run,
-    triple_function_from_json,
-    triple_function_to_json,
     verify_paper,
 )
 
@@ -109,24 +101,18 @@ class TestRoundTrips:
             assert parse_input(quandle_to_json(q)) == FiniteQuandle(q.table)
 
     def test_group_round_trip(self):
-        for g in (cyclic_group(4), symmetric_group(3)):
-            parsed = parse_input(group_to_json(g))
+        z4 = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
+        s3 = [
+            [0, 1, 2, 3, 4, 5],
+            [1, 0, 4, 5, 2, 3],
+            [2, 3, 0, 1, 5, 4],
+            [3, 2, 5, 4, 0, 1],
+            [4, 5, 1, 0, 3, 2],
+            [5, 4, 3, 2, 1, 0],
+        ]
+        for g, table in ((cyclic_group(4), z4), (symmetric_group(3), s3)):
+            parsed = parse_input({"kind": "group", "index_base": 0, "identity": 0, "table": table})
             assert parsed.table == g.table and parsed.identity == g.identity
-
-    def test_order_round_trip(self):
-        c = CyclicOrder((0, 2, 1))
-        o = LinearOrder((2, 0, 1))
-        assert order_from_json(order_to_json(c)) == c
-        assert order_from_json(order_to_json(o)) == o
-        with pytest.raises(ParseError):
-            order_from_json({"cycle": [0, 1]})
-
-    def test_triple_function_round_trip(self):
-        f = cyclic_to_function(CyclicOrder((0, 3, 1, 2)))
-        entries = triple_function_to_json(f)
-        assert all(v != 0 for _, _, _, v in entries)
-        assert len(entries) == 24
-        assert triple_function_from_json(4, entries) == f
 
 
 class TestBuiltinSpecs:
@@ -229,7 +215,8 @@ class TestRun:
 
     def test_group_input_rejected_for_check(self, tmp_path):
         doc = tmp_path / "group.json"
-        doc.write_text(json.dumps(group_to_json(cyclic_group(3))))
+        z3 = {"kind": "group", "index_base": 0, "identity": 0, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+        doc.write_text(json.dumps(z3))
         report, status = run(
             RunConfig(command="check", input_path=str(doc), prop="right-circular")
         )
@@ -371,6 +358,17 @@ class TestMain:
         monkeypatch.setitem(search.SPACES, "RCO", replace(search.SPACES["RCO"], fast=lambda q, caps: wrong))
         argv = ["check", "--builtin", "trivial:3", "--property", "right-circular", "--fail-on-no"]
         assert main(argv) == 4
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "internal-inconsistency"
+        assert error["space"] == "RCO"
+        assert error["verdicts"] == {"fast": False, "brute": True}
+
+    def test_census_inconsistency_exit_code(self, capsys, monkeypatch):
+        wrong = search.Verdict(
+            False, certificate=search.Certificate(search.EXHAUSTED, {"checked": 0}, "wrong")
+        )
+        monkeypatch.setitem(search.SPACES, "RCO", replace(search.SPACES["RCO"], fast=lambda q, caps: wrong))
+        assert main(["census", "--max-order", "3"]) == 4
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["kind"] == "internal-inconsistency"
         assert error["space"] == "RCO"

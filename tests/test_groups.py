@@ -2,6 +2,8 @@ import math
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quorder import (
     GroupAutomorphism,
@@ -107,6 +109,25 @@ class TestDirectProduct:
         assert g.mul(5, 5) == 1
 
 
+@st.composite
+def generator_sets(draw):
+    """A degree in 1..6 and up to four permutations of that degree."""
+    degree = draw(st.integers(1, 6))
+    perms = st.permutations(list(range(degree))).map(tuple)
+    return degree, draw(st.lists(perms, max_size=4))
+
+
+def _naive_closure(gens, degree):
+    """Identity and generators, closed under products with the generators and
+    under inverses, by repeating both until nothing new appears."""
+    elements = {identity_perm(degree), *gens}
+    while True:
+        new = {compose(g, p) for p in elements for g in gens} | {invert(p) for p in elements}
+        if new <= elements:
+            return elements
+        elements |= new
+
+
 class TestClosure:
     def test_identity_only(self):
         g = closure([identity_perm(3)], 3)
@@ -143,6 +164,25 @@ class TestClosure:
     def test_resource_limit(self):
         with pytest.raises(ResourceLimit):
             closure([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], 5, max_size=10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(generator_sets(), st.integers(1, 720))
+    def test_matches_naive_fixpoint(self, case, max_size):
+        degree, gens = case
+        expected = _naive_closure(gens, degree)
+        g = closure(gens, degree, max_size=None)
+        assert g.elements == expected
+        assert all(invert(p) in g.elements for p in gens)
+        if len(expected) > max_size:
+            with pytest.raises(ResourceLimit):
+                closure(gens, degree, max_size=max_size)
+        else:
+            assert closure(gens, degree, max_size=max_size).elements == expected
+        # the cap is exact: the group's own order passes, one less does not
+        assert closure(gens, degree, max_size=len(expected)).elements == expected
+        if len(expected) > 1:
+            with pytest.raises(ResourceLimit):
+                closure(gens, degree, max_size=len(expected) - 1)
 
 
 class TestIsCyclic:

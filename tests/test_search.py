@@ -56,6 +56,7 @@ from quorder.search import (
     EXHAUSTED,
     LEFT,
     NON_CYCLIC,
+    NON_IDENTITY_LEFT,
     NON_IDENTITY_RIGHT,
     NON_INJECTIVE_LEFT,
     NON_SEMIREGULAR,
@@ -296,6 +297,29 @@ class TestCertificates:
             "forged",
         )
         assert recheck_certificate(q, cert) is False
+
+    @pytest.mark.parametrize(
+        "q, kind, data",
+        [
+            (dihedral_quandle(3), NON_CYCLIC, {}),
+            (dihedral_quandle(3), NON_CYCLIC, {"acting": ["right translations"], "group_order": 6}),
+            (dihedral_quandle(3), NON_CYCLIC, {"acting": "right translations", "group_order": 6.0}),
+            (dihedral_quandle(3), NON_SEMIREGULAR, {"acting": "right translations", "group_order": 6}),
+            (dihedral_quandle(3), NON_INJECTIVE_LEFT, {"base": 9, "pair": [0, 1], "image": 0}),
+            (dihedral_quandle(3), NON_INJECTIVE_LEFT, {"base": 0, "pair": [0], "image": 0}),
+            (dihedral_quandle(3), EXHAUSTED, [2]),
+            (THREE_ELT, NON_INJECTIVE_LEFT, {"base": -1, "pair": [0, 1], "image": 2}),
+            (THREE_ELT, NON_INJECTIVE_LEFT, {"base": 2, "pair": [0, 1]}),
+            (THREE_ELT, NON_INJECTIVE_LEFT, {"base": 2, "pair": [0, 1], "image": 2.0}),
+            (THREE_ELT, NON_IDENTITY_RIGHT, {"base": 2, "point": -3, "image": 1}),
+            (THREE_ELT, NON_IDENTITY_LEFT, {"base": True, "point": 0, "image": 1}),
+            (THREE_ELT, NON_IDENTITY_LEFT, {"base": 1.0, "point": 0, "image": 1}),
+            (THREE_ELT, NON_IDENTITY_LEFT, "base 1, point 0, image 1"),
+        ],
+    )
+    def test_malformed_certificates_rejected(self, q, kind, data):
+        detail = "none of the 2 circular orderings is right-invariant" if kind == EXHAUSTED else ""
+        assert recheck_certificate(q, Certificate(kind, data, detail)) is False
 
     def test_witnesses_pass_invariance(self, labeled_catalog):
         for n, quandles in labeled_catalog.items():
@@ -538,6 +562,24 @@ class TestCensus:
             assert (record["lo_size"] > 0) == record["left_orderable"]
             # closure of rankings into cycles can only shrink the count
             assert record["ro_size"] >= record["rco_size"] or record["rco_size"] <= 1
+
+    def test_census_scans_each_space_once(self, monkeypatch):
+        expected = census(3)
+
+        def no_rescan(*args):
+            raise AssertionError("census re-ran the brute tier")
+
+        monkeypatch.setattr(search, "_brute", no_rescan)
+        assert census(3) == expected
+
+    def test_census_diffs_fast_path_against_enumeration(self, monkeypatch):
+        wrong = Verdict(False, certificate=Certificate(EXHAUSTED, {"checked": 0}, "wrong"))
+        monkeypatch.setitem(search.SPACES, "RCO", replace(search.SPACES["RCO"], fast=lambda q, caps: wrong))
+        with pytest.raises(InternalInconsistency) as info:
+            census(3)
+        assert info.value.space == "RCO"
+        assert info.value.verdicts == {"fast": False, "brute": True}
+        assert "disagree on right-circular orderability" in str(info.value)
 
     def test_census_respects_generation_cap(self):
         with pytest.raises(ResourceLimit):
