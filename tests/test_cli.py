@@ -197,6 +197,28 @@ class TestRun:
         assert status == 3
         assert report["error"]["kind"] == "resource-limit"
 
+    def test_closure_cap_detail(self):
+        # the count stops at the first element over the cap, not at a coset boundary
+        report, status = run(
+            RunConfig(command="check", builtin="core:s5", prop="right-circular")
+        )
+        assert status == 3
+        assert report == {
+            "error": {
+                "kind": "resource-limit",
+                "detail": "permutation closure: requested 10001 exceeds cap 10000",
+            }
+        }
+
+    def test_dihedral_25_bicircular_certificate(self):
+        report, status = run(
+            RunConfig(command="check", builtin="dihedral:25", prop="bi-circular")
+        )
+        assert status == 0
+        cert = report["verdict"]["certificate"]
+        assert cert["kind"] == "non-cyclic-action"
+        assert cert["data"] == {"acting": "left and right translations", "group_order": 500}
+
     def test_invalid_input_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "quandle", "index_base": 0, "table": [[1, 0], [0, 1]]}))

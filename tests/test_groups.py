@@ -10,6 +10,7 @@ from quorder import (
     NotAGroup,
     NotAnAutomorphism,
     NotAPermutation,
+    PermutationGroup,
     ResourceLimit,
     closure,
     cyclic_group,
@@ -21,7 +22,9 @@ from quorder import (
     scaling_automorphism,
     symmetric_group,
 )
-from quorder.groups import compose, identity_perm, invert, orbits, perm_order
+from quorder import groups
+from quorder.cli import quandle_from_builtin
+from quorder.groups import compose, identity_perm, invert, is_permutation, orbits, perm_order
 
 Z3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
@@ -111,10 +114,13 @@ class TestDirectProduct:
 
 @st.composite
 def generator_sets(draw):
-    """A degree in 1..6 and up to four permutations of that degree."""
+    """A degree in 1..6 and up to four permutations of that degree, shuffled
+    together with up to three repeats of them or of the identity."""
     degree = draw(st.integers(1, 6))
     perms = st.permutations(list(range(degree))).map(tuple)
-    return degree, draw(st.lists(perms, max_size=4))
+    gens = draw(st.lists(perms, max_size=4))
+    redundant = draw(st.lists(st.sampled_from(gens + [identity_perm(degree)]), max_size=3))
+    return degree, draw(st.permutations(gens + redundant))
 
 
 def _naive_closure(gens, degree):
@@ -162,8 +168,22 @@ class TestClosure:
             closure([(0, 0, 1)], 3)
 
     def test_resource_limit(self):
-        with pytest.raises(ResourceLimit):
+        # Sym(5) has 120 elements; the count stops at the first one over the cap
+        with pytest.raises(ResourceLimit) as info:
             closure([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], 5, max_size=10)
+        assert str(info.value) == "permutation closure: requested 11 exceeds cap 10"
+
+    def test_redundant_generators_are_skipped(self):
+        cycle, square, swap = (1, 2, 0), (2, 0, 1), (1, 0, 2)
+        g = closure([identity_perm(3), cycle, cycle, square, swap, invert(swap)], 3)
+        assert g.generators == (cycle, swap)
+        assert g.order == 6
+
+    def test_generators_play_no_part_in_equality(self):
+        g = closure([(1, 2, 0), (1, 0, 2)], 3)
+        plain = PermutationGroup(3, frozenset(permutations(range(3))))
+        assert plain.generators == ()
+        assert g == plain and hash(g) == hash(plain)
 
     @settings(max_examples=150, deadline=None)
     @given(generator_sets(), st.integers(1, 720))
@@ -173,6 +193,12 @@ class TestClosure:
         g = closure(gens, degree, max_size=None)
         assert g.elements == expected
         assert all(invert(p) in g.elements for p in gens)
+        # the kept generators are distinct non-identity inputs that generate it all
+        kept = g.generators
+        assert set(kept) <= set(gens) and identity_perm(degree) not in kept
+        assert len(set(kept)) == len(kept)
+        assert closure(kept, degree, max_size=None).elements == expected
+        assert is_cyclic(g) == any(perm_order(p) == len(expected) for p in expected)
         if len(expected) > max_size:
             with pytest.raises(ResourceLimit):
                 closure(gens, degree, max_size=max_size)
@@ -183,6 +209,41 @@ class TestClosure:
         if len(expected) > 1:
             with pytest.raises(ResourceLimit):
                 closure(gens, degree, max_size=len(expected) - 1)
+
+
+# carriers of the benchmark's check workload whose translations generate
+# groups of order 1 to 576
+ORACLE_SPECS = (
+    "conj:s4",
+    "core:s4",
+    "dihedral:16",
+    "dihedral:24",
+    "dihedral:25",
+    "dihedral:30",
+    "dihedral:36",
+    "affine:11:2",
+    "alexander:z13:2",
+    "core:z3xz3",
+    "product:dihedral:3+dihedral:5",
+)
+
+
+class TestClosureAgainstSympy:
+    """Group orders against sympy's Schreier-Sims, a test-only oracle."""
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_translation_group_orders(self, spec):
+        pytest.importorskip("sympy")
+        from sympy.combinatorics import Permutation
+        from sympy.combinatorics import PermutationGroup as SympyGroup
+
+        q = quandle_from_builtin(spec)
+        sides = [q.columns]
+        if all(is_permutation(row, q.size) for row in q.rows):
+            sides += [q.rows, q.columns + q.rows]
+        for maps in sides:
+            expected = SympyGroup([Permutation(list(m)) for m in maps]).order()
+            assert closure(maps, q.size).order == expected
 
 
 class TestIsCyclic:
@@ -197,6 +258,21 @@ class TestIsCyclic:
         assert g.order == 6
         assert max(perm_order(p) for p in g.elements) == 3
         assert not is_cyclic(g)
+
+    def test_non_commuting_generators_decide_without_a_scan(self, monkeypatch):
+        g = closure([(1, 2, 0), (1, 0, 2)], 3)
+
+        def no_scan(p):
+            raise AssertionError("element orders were scanned")
+
+        monkeypatch.setattr(groups, "perm_order", no_scan)
+        assert not is_cyclic(g)
+
+    def test_commuting_generators_still_scan(self):
+        klein = closure([(1, 0, 3, 2), (2, 3, 0, 1)], 4)
+        assert len(klein.generators) == 2 and not is_cyclic(klein)
+        z6 = closure([(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)], 5)
+        assert len(z6.generators) == 2 and z6.order == 6 and is_cyclic(z6)
 
 
 class TestIsSemiregular:

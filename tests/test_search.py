@@ -2,6 +2,8 @@ from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quorder import (
     CyclicOrder,
@@ -52,6 +54,7 @@ from quorder import (
     trivial_quandle,
 )
 from quorder import search
+from quorder.cli import quandle_from_builtin
 from quorder.search import (
     EXHAUSTED,
     LEFT,
@@ -584,3 +587,27 @@ class TestCensus:
     def test_census_respects_generation_cap(self):
         with pytest.raises(ResourceLimit):
             census(6)
+
+
+def _fast_summary(v: Verdict) -> tuple:
+    cert = v.certificate
+    return v.answer, cert and cert.kind, cert and cert.data.get("group_order")
+
+
+class TestRelabelling:
+    @pytest.mark.parametrize("spec", ["dihedral:5", "core:z3xz3", "affine:7:3", "conj:s3"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_fast_verdicts_survive_relabelling(self, spec, data):
+        q = quandle_from_builtin(spec)
+        n = q.size
+        sigma = data.draw(st.permutations(range(n)))
+        table = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                table[sigma[i]][sigma[j]] = sigma[q.table[i][j]]
+        relabelled = quandle_from_table(table)
+        for kind in ("RCO", "LCO", "BCO", "RO", "LO"):
+            assert _fast_summary(decide(kind, relabelled, "fast")) == _fast_summary(
+                decide(kind, q, "fast")
+            )
