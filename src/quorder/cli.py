@@ -469,12 +469,6 @@ def _add_common(p: argparse.ArgumentParser, with_input: bool, with_property: boo
         src.add_argument("--builtin", metavar="SPEC", help="builtin family spec, e.g. dihedral:3")
     if with_property:
         p.add_argument("--property", required=True, choices=PROPERTIES)
-        p.add_argument(
-            "--strategy",
-            choices=("auto", "fast", "brute"),
-            default="auto",
-            help="force the structural fast path or the exhaustive tier",
-        )
     p.add_argument("--max-enum", type=int, metavar="N", help="cap carrier size for enumeration")
     p.add_argument("--fail-on-no", action="store_true", help="exit 1 when the answer is no")
     p.add_argument("--pretty", action="store_true", help="indent the JSON report")
@@ -494,6 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p, with_input=True, with_property=True)
+        if name != "enumerate":  # an enumeration is the exhaustive tier itself
+            p.add_argument(
+                "--strategy",
+                choices=("auto", "fast", "brute"),
+                default="auto",
+                help="force the structural fast path or the exhaustive tier",
+            )
     p = sub.add_parser("census", help="orderability flags for all small quandles")
     p.add_argument("--max-order", type=int, default=4, metavar="N")
     _add_common(p, with_input=False, with_property=False)

@@ -43,10 +43,11 @@ def invert(p: Perm) -> Perm:
     return tuple(out)
 
 
-def perm_order(p: Perm) -> int:
-    """Order of a permutation: lcm of its cycle lengths."""
+def cycle_type(p: Perm) -> tuple[int, ...]:
+    """Sorted cycle lengths of a permutation, fixed points included; a
+    relabelling of the points (a conjugate of p) has the same cycle type."""
     seen = [False] * len(p)
-    order = 1
+    lengths = []
     for start in range(len(p)):
         if seen[start]:
             continue
@@ -56,8 +57,13 @@ def perm_order(p: Perm) -> int:
             seen[x] = True
             x = p[x]
             length += 1
-        order = math.lcm(order, length)
-    return order
+        lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def perm_order(p: Perm) -> int:
+    """Order of a permutation: lcm of its cycle lengths."""
+    return math.lcm(*cycle_type(p))
 
 
 # ---------------------------------------------------------------------------

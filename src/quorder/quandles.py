@@ -20,6 +20,7 @@ from .groups import (
     PermutationGroup,
     closure,
     compose,
+    cycle_type,
     identity_perm,
     invert,
 )
@@ -80,6 +81,15 @@ class FiniteQuandle:
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Left-translation maps: rows[s][t] = s*t (not bijective in general)."""
         return self.table
+
+    @cached_property
+    def point_invariants(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Per point s: the cycle type of R_s and the image size of L_s.
+
+        An isomorphism that sends s to s' conjugates R_s to R_s' and carries
+        the image of L_s onto that of L_s', so it keeps both.
+        """
+        return tuple((cycle_type(col), len(set(row))) for col, row in zip(self.columns, self.rows))
 
 
 def quandle_from_table(table: Sequence[Sequence[int]], name: str | None = None) -> FiniteQuandle:

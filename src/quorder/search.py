@@ -623,15 +623,52 @@ def embedding_image(
 
 
 def are_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
-    """True iff some relabeling permutation carries one table to the other."""
+    """True iff some relabeling permutation p carries one table to the other:
+    q2(p[i], p[j]) = p[q1(i, j)] for all i, j.
+
+    A relabeling keeps each point's invariant (the cycle type of its right
+    translation and the image size of its left one; see
+    FiniteQuandle.point_invariants), so the answer is no at once when the
+    sorted invariant lists differ. Otherwise p is built on the points 0, 1,
+    ... in turn, each taking only images with its own invariant. A table
+    entry is compared as soon as its row, column and value are all mapped,
+    and a branch that breaks one is cut. A complete p is accepted only after
+    the whole table is compared.
+    """
     n = q1.size
     if n != q2.size:
         return False
+    inv1, inv2 = q1.point_invariants, q2.point_invariants
+    if sorted(inv1) != sorted(inv2):
+        return False
     t1, t2 = q1.table, q2.table
-    for p in permutations(range(n)):
-        if all(t2[p[i]][p[j]] == p[t1[i][j]] for i in range(n) for j in range(n)):
-            return True
-    return False
+    images: dict[tuple, list[int]] = {}
+    for y, key in enumerate(inv2):
+        images.setdefault(key, []).append(y)
+    # due[i]: the entries whose last point to be mapped is i
+    due: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            v = t1[a][b]
+            due[max(a, b, v)].append((a, b, v))
+    p = [-1] * n
+    taken = [False] * n
+
+    def extend(i: int) -> bool:
+        if i == n:
+            return all(t2[p[a]][p[b]] == p[t1[a][b]] for a in range(n) for b in range(n))
+        for y in images[inv1[i]]:
+            if taken[y]:
+                continue
+            p[i] = y
+            if all(t2[p[a]][p[b]] == p[v] for a, b, v in due[i]):
+                taken[y] = True
+                if extend(i + 1):
+                    return True
+                taken[y] = False
+        return False
+
+    return extend(0)
 
 
 def canonical_form(q: FiniteQuandle) -> tuple[tuple[int, ...], ...]:
@@ -652,10 +689,16 @@ def generate_all_quandles(
 ) -> tuple[FiniteQuandle, ...]:
     """Every quandle of order n, by column-wise backtracking.
 
-    Columns are the right-translation permutations; column j must fix j, and
-    self-distributivity pins column sk(j) to the conjugate sk . sj . sk^-1,
-    which is checked as soon as all three columns are assigned. Output order
-    follows the lexicographic candidate order, so it is deterministic.
+    Columns are the right-translation permutations c_0, ..., c_{n-1}; column
+    j must fix j, and self-distributivity pins column m = c_k[j] to the
+    conjugate c_k . c_j . c_k^-1. That is tested pointwise, as
+    c_m[c_k[x]] == c_k[c_j[x]] for every x, as soon as all three columns are
+    assigned. When column f is assigned, only the triples (k, j, m) naming f
+    are tested: every other triple with all indices <= f was tested when its
+    own last column was assigned, against the same columns, so the search
+    keeps exactly the branches a test of all triples would. (k = j is never
+    tested: then m = k and both sides are c_k . c_k.) Output order follows
+    the lexicographic candidate order, so it is deterministic.
     """
     if n > caps.max_generate_n:
         raise ResourceLimit("quandle generation", n, caps.max_generate_n)
@@ -665,17 +708,19 @@ def generate_all_quandles(
         j: [p for p in permutations(range(n)) if p[j] == j] for j in range(n)
     }
     cols: list[Perm | None] = [None] * n
-    inverses: list[Perm | None] = [None] * n
     found: list[tuple[Perm, ...]] = []
 
     def consistent(f: int) -> bool:
         for k in range(f + 1):
             ck = cols[k]
-            cki = inverses[k]
             for j in range(f + 1):
                 m = ck[j]
-                if m <= f and cols[m] != compose(ck, compose(cols[j], cki)):
-                    return False
+                if m > f or j == k or f not in (k, j, m):
+                    continue
+                cm, cj = cols[m], cols[j]
+                for x in range(n):
+                    if cm[ck[x]] != ck[cj[x]]:
+                        return False
         return True
 
     def descend(f: int) -> None:
@@ -684,11 +729,9 @@ def generate_all_quandles(
             return
         for p in candidates[f]:
             cols[f] = p
-            inverses[f] = invert(p)
             if consistent(f):
                 descend(f + 1)
         cols[f] = None
-        inverses[f] = None
 
     descend(0)
     quandles = [

@@ -349,6 +349,14 @@ class TestMain:
         assert status == 0
         assert json.loads(out)["verdict"]["certificate"]["kind"] == "exhaustive-search"
 
+    def test_enumerate_has_no_strategy(self, capsys):
+        argv = ["enumerate", "--builtin", "trivial:3", "--property", "right-circular"]
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--strategy", "fast"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --strategy fast" in capsys.readouterr().err
+        assert main(argv) == 0
+
     def test_parser_requires_source(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["check", "--property", "right-circular"])

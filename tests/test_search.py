@@ -12,6 +12,7 @@ from quorder import (
     InternalInconsistency,
     LinearOrder,
     NotAPermutation,
+    NotAQuandle,
     ResourceLimit,
     SearchCaps,
     Verdict,
@@ -413,23 +414,74 @@ class TestEmbedding:
             embedding_image(trivial_quandle(3), "middle")
 
 
+def _relabel(q, sigma):
+    """The quandle q carries to under the point relabelling sigma."""
+    n = q.size
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            table[sigma[i]][sigma[j]] = sigma[q.table[i][j]]
+    return quandle_from_table(table)
+
+
+def _isomorphic_by_scan(q1, q2):
+    """Definitional isomorphism test: try all n! relabellings."""
+    n = q1.size
+    t1, t2 = q1.table, q2.table
+    return n == q2.size and any(
+        all(t2[p[i]][p[j]] == p[t1[i][j]] for i in range(n) for j in range(n))
+        for p in permutations(range(n))
+    )
+
+
+# Class representatives of generate_all_quandles(n, up_to_iso=True), in
+# output order; rows separated by "/".
+CLASS_REPRESENTATIVES = {
+    1: ["0"],
+    2: ["00/11"],
+    3: ["000/111/222", "001/110/222", "021/210/102"],
+    4: [
+        "0000/1111/2222/3333", "0000/1112/2221/3333", "0001/1112/2220/3333",
+        "0011/1100/2222/3333", "0000/1132/2321/3213", "0011/1100/3322/2233",
+        "0312/2130/3021/1203",
+    ],
+    5: [
+        "00000/11111/22222/33333/44444", "00000/11111/22223/33332/44444",
+        "00000/11112/22223/33331/44444", "00001/11110/22223/33332/44444",
+        "00001/11112/22223/33330/44444", "00000/11122/22211/33333/44444",
+        "00011/11122/22200/33333/44444", "00012/11120/22201/33333/44444",
+        "00000/11111/22243/33432/44324", "00011/11100/22222/33433/44344",
+        "00111/11000/22222/33333/44444", "00111/11000/22223/33332/44444",
+        "00111/11000/22243/33432/44324", "00000/11122/22211/34433/43344",
+        "00000/11423/23241/34132/42314", "00000/11122/22211/44433/33344",
+        "00011/11122/22200/44433/33344", "00111/11000/22222/44433/33344",
+        "00111/11000/34243/42432/23324", "03421/21340/14203/40132/32014",
+        "02341/21403/34210/40132/13024", "03412/21043/34201/42130/10324",
+    ],
+}
+
+
 class TestCatalog:
-    def test_labeled_counts_against_naive_oracle(self):
-        # oracle: enumerate every diagonal-fixing column combination and filter
-        # through full table validation
-        for n in (1, 2, 3):
+    def test_labeled_tables_against_naive_oracle(self, labeled_catalog):
+        # oracle: every diagonal-fixing column combination, in the same
+        # lexicographic order, filtered through full table validation
+        for n in (1, 2, 3, 4):
             perms_fixing = [
                 [p for p in permutations(range(n)) if p[j] == j] for j in range(n)
             ]
-            count = 0
+            tables = []
             for cols in product(*perms_fixing):
                 table = [[cols[j][i] for j in range(n)] for i in range(n)]
                 try:
-                    quandle_from_table(table)
-                except Exception:
+                    tables.append(quandle_from_table(table).table)
+                except NotAQuandle:
                     continue
-                count += 1
-            assert count == len(generate_all_quandles(n))
+            assert [q.table for q in labeled_catalog[n]] == tables
+
+    def test_class_representatives_frozen(self, class_catalog):
+        for n, encoded in CLASS_REPRESENTATIVES.items():
+            tables = [tuple(tuple(map(int, row)) for row in e.split("/")) for e in encoded]
+            assert [q.table for q in class_catalog[n]] == tables
 
     def test_labeled_counts_frozen(self, labeled_catalog):
         assert [len(labeled_catalog[n]) for n in (1, 2, 3, 4)] == [1, 1, 5, 36]
@@ -452,6 +504,14 @@ class TestCatalog:
         assert are_isomorphic(dihedral_quandle(3), relabeled)
         assert not are_isomorphic(dihedral_quandle(3), trivial_quandle(3))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_canonical_form_is_constant_on_a_class(self, class_catalog, data):
+        n = data.draw(st.integers(1, 5))
+        q = data.draw(st.sampled_from(class_catalog[n]))
+        sigma = data.draw(st.permutations(range(n)))
+        assert canonical_form(_relabel(q, sigma)) == canonical_form(q)
+
     def test_canonical_form_is_relabel_invariant(self):
         q = THREE_ELT
         # relabel by the 3-cycle 0->1->2->0
@@ -466,6 +526,50 @@ class TestCatalog:
         for n in range(1, 6):
             for q in class_catalog[n]:
                 assert dual_quandle(dual_quandle(q)).table == q.table
+
+
+class TestIsomorphism:
+    def test_matches_scan_on_labelled_pairs(self, labeled_catalog):
+        for quandles in labeled_catalog.values():
+            for a in quandles:
+                for b in quandles:
+                    assert are_isomorphic(a, b) == _isomorphic_by_scan(a, b), (a.table, b.table)
+
+    def test_distinct_classes_are_not_isomorphic(self, class_catalog):
+        same_invariants = 0
+        for n, reps in class_catalog.items():
+            for a in reps:
+                for b in reps:
+                    if a is b:
+                        continue
+                    assert not are_isomorphic(a, b), (a.table, b.table)
+                    assert not _isomorphic_by_scan(a, b)
+                    same_invariants += sorted(a.point_invariants) == sorted(b.point_invariants)
+        # affine:5:2 and affine:5:3, in both orders: the backtracking search,
+        # not the invariant filter, answers
+        assert same_invariants == 2
+
+    @pytest.mark.parametrize("a, b", [("affine:7:2", "affine:7:4"), ("affine:7:3", "affine:7:5")])
+    def test_equal_invariants_without_isomorphism(self, a, b):
+        qa, qb = quandle_from_builtin(a), quandle_from_builtin(b)
+        assert sorted(qa.point_invariants) == sorted(qb.point_invariants)
+        assert not are_isomorphic(qa, qb)
+        assert not _isomorphic_by_scan(qa, qb)
+
+    @pytest.mark.parametrize("spec", ["order5", "dihedral:6", "conj:s3", "core:s3"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_relabellings_are_isomorphic(self, class_catalog, spec, data):
+        if spec == "order5":
+            q = data.draw(st.sampled_from(class_catalog[5]))
+        else:
+            q = quandle_from_builtin(spec)
+        sigma = data.draw(st.permutations(range(q.size)))
+        relabelled = _relabel(q, sigma)
+        assert are_isomorphic(q, relabelled)
+        assert are_isomorphic(relabelled, q)
+        for s in range(q.size):
+            assert relabelled.point_invariants[sigma[s]] == q.point_invariants[s]
 
 
 class TestOracleEquivalence:
@@ -600,13 +704,7 @@ class TestRelabelling:
     @given(data=st.data())
     def test_fast_verdicts_survive_relabelling(self, spec, data):
         q = quandle_from_builtin(spec)
-        n = q.size
-        sigma = data.draw(st.permutations(range(n)))
-        table = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                table[sigma[i]][sigma[j]] = sigma[q.table[i][j]]
-        relabelled = quandle_from_table(table)
+        relabelled = _relabel(q, data.draw(st.permutations(range(q.size))))
         for kind in ("RCO", "LCO", "BCO", "RO", "LO"):
             assert _fast_summary(decide(kind, relabelled, "fast")) == _fast_summary(
                 decide(kind, q, "fast")
