@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -38,6 +39,7 @@ from .quandles import (
     core_quandle,
     dihedral_quandle,
     generalized_alexander_quandle,
+    is_trivial_quandle,
     product_quandle,
     trivial_quandle,
 )
@@ -57,10 +59,11 @@ from .search import (
     enumerate_left_orderings,
     enumerate_rco,
     enumerate_right_orderings,
+    enumerate_space,
     generate_all_quandles,
     recheck_certificate,
+    subbasic_circular,
     subbasic_linear,
-    subbasic_right,
 )
 
 PROPERTIES = tuple(_DECIDERS)
@@ -284,12 +287,39 @@ def _check_ordering_lemma(caps: SearchCaps) -> dict:
     }
 
 
+def _check_fixed_point_lemma(caps: SearchCaps) -> dict:
+    """Every translation fixes its own base point, so beyond two points the
+    circular spaces are the whole ground set or empty, and so is RO. Compare
+    the enumerated sizes of every class of order <= 5 with that closed form."""
+    checked = 0
+    failures = 0
+    for n in range(1, 6):
+        circle = math.factorial(n - 1)  # the ground set: 1 for n <= 2, else (n-1)!
+        for q in generate_all_quandles(n, up_to_iso=True, caps=caps):
+            trivial = is_trivial_quandle(q)
+            expected = {
+                "RCO": circle if n <= 2 or trivial else 0,
+                "LCO": circle if n <= 2 else 0,
+                "BCO": circle if n <= 2 else 0,
+                "RO": math.factorial(n) if trivial else 0,
+                "LO": 1 if n == 1 else 0,
+            }
+            checked += 1
+            if any(len(enumerate_space(kind, q, caps)) != size for kind, size in expected.items()):
+                failures += 1
+    return {
+        "name": "lemma:fixed-point",
+        "passed": failures == 0 and checked > 0,
+        "details": {"classes_checked": checked, "failures": failures},
+    }
+
+
 def _check_subbasis_semantics(caps: SearchCaps) -> dict:
     q = trivial_quandle(3)
-    picked = subbasic_right(q, (0, 1, 2), caps)
+    picked = subbasic_circular(q, "right", (0, 1, 2), caps)
     rco = enumerate_rco(q, caps)
     try:
-        subbasic_right(q, (0, 0, 1), caps)
+        subbasic_circular(q, "right", (0, 0, 1), caps)
         degenerate_rejected = False
     except DegenerateTriple:
         degenerate_rejected = True
@@ -344,6 +374,7 @@ def verify_paper(caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
         _check_trivial_two_example(caps),
         _check_conj_not_left_circular(caps),
         _check_ordering_lemma(caps),
+        _check_fixed_point_lemma(caps),
         _check_subbasis_semantics(caps),
         _check_embedding_fibers(caps),
     ]
@@ -377,7 +408,7 @@ def _load_quandle(config: RunConfig) -> FiniteQuandle:
             document = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {config.input_path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON in {config.input_path}: {exc}") from None
     structure = parse_input(document)
     if isinstance(structure, FiniteGroup):
@@ -527,9 +558,14 @@ def main(argv: list[str] | None = None) -> int:
     report, status = run(config)
     text = render_report(report, config.pretty)
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        return status
+        try:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            return status
+        except OSError as exc:
+            error = {"kind": "ParseError", "detail": f"cannot write {config.output}: {exc}"}
+            status = 2
+            text = render_report({"error": error}, config.pretty)
     try:
         print(text)
         sys.stdout.flush()

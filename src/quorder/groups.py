@@ -130,11 +130,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverses[a]
 
-    def is_abelian(self) -> bool:
-        t = self.table
-        n = self.size
-        return all(t[a][b] == t[b][a] for a in range(n) for b in range(n))
-
     def element_order(self, a: int) -> int:
         x = a
         k = 1

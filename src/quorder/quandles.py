@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal, Sequence
+from typing import Sequence
 
 from .errors import NotAQuandle, NotInvertible
 from .groups import (
@@ -180,30 +180,7 @@ def dual_quandle(q: FiniteQuandle) -> FiniteQuandle:
 
 
 # ---------------------------------------------------------------------------
-# translations and the inner group
-
-
-@dataclass(frozen=True)
-class Translation:
-    """One translation map of a quandle, as an explicit index array."""
-
-    quandle: FiniteQuandle
-    kind: Literal["right", "left"]
-    base: int
-    map: tuple[int, ...]
-
-    def __call__(self, t: int) -> int:
-        return self.map[t]
-
-
-def right_translation(q: FiniteQuandle, s: int) -> Translation:
-    """R_s: t -> t*s; always a permutation by the second axiom."""
-    return Translation(q, "right", s, q.columns[s])
-
-
-def left_translation(q: FiniteQuandle, s: int) -> Translation:
-    """L_s: t -> s*t; need not be injective."""
-    return Translation(q, "left", s, q.rows[s])
+# the inner group
 
 
 def inner_group(q: FiniteQuandle) -> PermutationGroup:
@@ -219,12 +196,6 @@ def is_latin(q: FiniteQuandle) -> bool:
     """Every left translation is a bijection."""
     n = q.size
     return all(sorted(row) == list(range(n)) for row in q.rows)
-
-
-def is_semi_latin(q: FiniteQuandle) -> bool:
-    """Every left translation is injective."""
-    n = q.size
-    return all(len(set(row)) == n for row in q.rows)
 
 
 def is_involutory(q: FiniteQuandle) -> bool:
@@ -247,10 +218,3 @@ def orbits(q: FiniteQuandle) -> tuple[tuple[int, ...], ...]:
     """Orbit decomposition of the carrier under the inner group."""
     return group_orbits(inner_group(q))
 
-
-def is_subquandle(q: FiniteQuandle, subset: Iterable[int]) -> bool:
-    """True iff subset is closed under the operation."""
-    sub = set(subset)
-    if not all(0 <= x < q.size for x in sub):
-        raise ValueError("subset out of range")
-    return all(q.op(a, b) in sub for a in sub for b in sub)

@@ -1,21 +1,23 @@
 """Decision procedures and exhaustive enumeration for quandle order spaces.
 
-Two tiers answer every orderability question. The structural fast path works
-on the translation maps themselves: a set of permutations of an n-point
-carrier (n >= 3) preserves some cyclic arrangement exactly when the group it
-generates is cyclic and acts without nontrivial fixed points, in which case
-an invariant arrangement interleaves the orbits of a generator. The brute
-tier filters the full finite space of arrangements or rankings. The two are
-diffed against each other whenever the carrier is small enough: `decide`'s
-auto strategy runs both, and `census` checks every fast-path verdict against
-its own enumeration of the space.
+Two tiers answer every orderability question. The structural fast path
+rests on the fixed-point lemma: s*s = s, so every translation fixes its own
+base point, and an order-preserving bijection of a finite circle or chain
+that fixes a point is the identity. Beyond two points, then, only trivial
+quandles are right circularly orderable or right orderable, and no quandle
+is left or bi-circularly orderable, or left orderable. A negative verdict
+carries a certificate naming the translation that breaks the order. The
+brute tier filters the full finite space of arrangements or rankings. The
+two are diffed against each other whenever the carrier is small enough:
+`decide`'s auto strategy runs both, and `census` checks every fast-path
+verdict against its own enumeration of the space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .corders import (
     CyclicOrder,
@@ -30,22 +32,17 @@ from .errors import (
     DegenerateTriple,
     DiagonalPair,
     InternalInconsistency,
-    NotAPermutation,
     ResourceLimit,
 )
 from .groups import (
     Perm,
-    PermutationGroup,
     closure,
-    compose,
     fixed_point_witness,
     identity_perm,
     invert,
     is_cyclic,
     is_permutation,
     is_semiregular,
-    orbits,
-    perm_order,
 )
 from .quandles import FiniteQuandle, is_involutory, is_latin, is_trivial_quandle
 from .quandles import orbits as quandle_orbits
@@ -157,74 +154,6 @@ def _acting_maps(q: FiniteQuandle, acting: str) -> list[Perm] | None:
     return None if maps is None else list(maps)
 
 
-def cyclic_witness_for_permutations(
-    maps: Iterable[Perm], degree: int, max_closure: int = DEFAULT_CAPS.max_closure_size
-) -> CyclicOrder | None:
-    """A cyclic arrangement preserved by every given permutation, or None.
-
-    The arrangement exists exactly when the generated group is cyclic and
-    semiregular; see _invariant_arrangement for the construction.
-    """
-    if degree < 3:
-        raise ValueError("needs at least three points; smaller carriers are vacuous")
-    maps = [tuple(m) for m in maps]
-    for m in maps:
-        if not is_permutation(m, degree):
-            raise NotAPermutation(m)
-    witness, _ = _analyze_action(maps, degree, "maps", max_closure)
-    return witness
-
-
-def _analyze_action(
-    maps: Sequence[Perm], degree: int, acting: str, max_closure: int
-) -> tuple[CyclicOrder | None, Certificate | None]:
-    g = closure(maps, degree, max_size=max_closure)
-    if not is_cyclic(g):
-        cert = Certificate(
-            NON_CYCLIC,
-            {"acting": acting, "group_order": g.order},
-            f"the group generated by the {acting} has order {g.order} and is not cyclic",
-        )
-        return None, cert
-    if not is_semiregular(g):
-        perm, point = fixed_point_witness(g)
-        cert = Certificate(
-            NON_SEMIREGULAR,
-            {
-                "acting": acting,
-                "group_order": g.order,
-                "permutation": list(perm),
-                "fixed_point": point,
-            },
-            f"a non-identity element of the group generated by the {acting} fixes point {point}",
-        )
-        return None, cert
-    return _invariant_arrangement(g), None
-
-
-def _invariant_arrangement(g: PermutationGroup) -> CyclicOrder:
-    """Invariant arrangement of a cyclic semiregular group: interleaved orbits.
-
-    With d = |g| and orbit representatives r_0 < r_1 < ... the arrangement
-    places gen^i(r_j) at position i*m + j, so every group element acts as a
-    rotation by a multiple of m. The generator is the least permutation (in
-    tuple order) of full order, making the witness reproducible.
-    """
-    degree = g.degree
-    d = g.order
-    reps = [orbit[0] for orbit in orbits(g)]
-    if d == 1:
-        gen = identity_perm(degree)
-    else:
-        gen = min(p for p in g.elements if perm_order(p) == d)
-    arr: list[int] = []
-    power = identity_perm(degree)
-    for _ in range(d):
-        arr.extend(power[r] for r in reps)
-        power = compose(gen, power)
-    return CyclicOrder.from_cycle(arr)
-
-
 def _first_non_injective_left(q: FiniteQuandle) -> Certificate | None:
     n = q.size
     for s in range(n):
@@ -242,16 +171,32 @@ def _first_non_injective_left(q: FiniteQuandle) -> Certificate | None:
 
 
 def _fast_circular(q: FiniteQuandle, acting: str, caps: SearchCaps) -> Verdict:
+    """Decide a circular space by the fixed-point lemma (see the module doc):
+    beyond two points only a trivial quandle is right circularly orderable,
+    and none is left or bi-circularly orderable, since no left translation is
+    the identity. The group closure is built only to certify a no."""
     n = q.size
-    if n <= 2:
+    if n <= 2 or (acting == RIGHT and is_trivial_quandle(q)):
         return Verdict(True, witness=CyclicOrder(tuple(range(n))))
     if acting != RIGHT:
         cert = _first_non_injective_left(q)
         if cert is not None:
             return Verdict(False, certificate=cert)
-    witness, cert = _analyze_action(_acting_maps(q, acting), n, acting, caps.max_closure_size)
-    if witness is not None:
-        return Verdict(True, witness=witness)
+    g = closure(_acting_maps(q, acting), n, max_size=caps.max_closure_size)
+    if not is_cyclic(g):
+        cert = Certificate(
+            NON_CYCLIC,
+            {"acting": acting, "group_order": g.order},
+            f"the group generated by the {acting} has order {g.order} and is not cyclic",
+        )
+        return Verdict(False, certificate=cert)
+    # never None: a non-identity translation fixes its own base point
+    perm, point = fixed_point_witness(g)
+    cert = Certificate(
+        NON_SEMIREGULAR,
+        {"acting": acting, "group_order": g.order, "permutation": list(perm), "fixed_point": point},
+        f"a non-identity element of the group generated by the {acting} fixes point {point}",
+    )
     return Verdict(False, certificate=cert)
 
 
@@ -532,26 +477,16 @@ def _side(side: str) -> tuple[str, str]:
     return _SIDES[side]
 
 
-def _require_nondegenerate(s: tuple[int, int, int]) -> None:
-    x, y, z = s
+def subbasic_circular(
+    q: FiniteQuandle, side: str, triple: tuple[int, int, int], caps: SearchCaps = DEFAULT_CAPS
+) -> tuple[CyclicOrder, ...]:
+    """Members of RCO (side='right') or LCO taking the value +1 on the given
+    nondegenerate triple."""
+    x, y, z = triple
     if x == y or y == z or x == z:
-        raise DegenerateTriple(f"triple {s} has a repeated entry")
-
-
-def subbasic_right(
-    q: FiniteQuandle, s: tuple[int, int, int], caps: SearchCaps = DEFAULT_CAPS
-) -> tuple[CyclicOrder, ...]:
-    """Members of RCO taking the value +1 on the given nondegenerate triple."""
-    _require_nondegenerate(s)
-    return tuple(c for c in enumerate_space("RCO", q, caps) if c.evaluate(*s) == 1)
-
-
-def subbasic_left(
-    q: FiniteQuandle, s: tuple[int, int, int], caps: SearchCaps = DEFAULT_CAPS
-) -> tuple[CyclicOrder, ...]:
-    """Members of LCO taking the value +1 on the given nondegenerate triple."""
-    _require_nondegenerate(s)
-    return tuple(c for c in enumerate_space("LCO", q, caps) if c.evaluate(*s) == 1)
+        raise DegenerateTriple(f"triple {triple} has a repeated entry")
+    _, circular = _side(side)
+    return tuple(c for c in enumerate_space(circular, q, caps) if c.evaluate(*triple) == 1)
 
 
 def subbasic_linear(

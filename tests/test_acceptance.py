@@ -37,8 +37,8 @@ from quorder import (
     is_left_invariant,
     is_right_invariant,
     recheck_certificate,
+    subbasic_circular,
     subbasic_linear,
-    subbasic_right,
     symmetric_group,
     trivial_quandle,
 )
@@ -127,10 +127,10 @@ def test_criterion_06_subbasis_semantics():
         q = trivial_quandle(3)
         rco = enumerate_rco(q)
         assert len(rco) == 2
-        picked = subbasic_right(q, (0, 1, 2))
+        picked = subbasic_circular(q, "right", (0, 1, 2))
         assert len(picked) == 1 and picked[0] in rco.members
         with pytest.raises(DegenerateTriple):
-            subbasic_right(q, (0, 0, 1))
+            subbasic_circular(q, "right", (0, 0, 1))
         for a in range(3):
             for b in range(3):
                 if a != b:
@@ -265,7 +265,7 @@ def test_criterion_10_verify_paper_command_passes():
         assert status == 0
         assert report["all_passed"] is True
         named = {c["name"]: c["passed"] for c in report["checks"]}
-        assert len(named) == 7
+        assert len(named) == 8
         assert all(named.values())
 
         # the console entry point agrees end to end

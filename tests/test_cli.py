@@ -235,6 +235,15 @@ class TestRun:
         )
         assert status == 2
 
+    def test_non_utf8_file(self, tmp_path):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        report, status = run(
+            RunConfig(command="check", input_path=str(bad), prop="right-circular")
+        )
+        assert status == 2
+        assert report["error"]["kind"] == "ParseError"
+
     def test_group_input_rejected_for_check(self, tmp_path):
         doc = tmp_path / "group.json"
         z3 = {"kind": "group", "index_base": 0, "identity": 0, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
@@ -264,7 +273,7 @@ class TestRun:
         report, status = run(RunConfig(command="verify-paper"))
         assert status == 0
         assert report["all_passed"] is True
-        assert len(report["checks"]) == 7
+        assert len(report["checks"]) == 8
 
 
 class TestDeterminism:
@@ -318,6 +327,15 @@ class TestMain:
         assert status == 0
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["count"] == 6
+
+    def test_unwritable_output_file(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        status = main(["census", "--max-order", "1", "--output", str(target)])
+        assert status == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "ParseError"
+        assert error["detail"].startswith(f"cannot write {target}")
+        assert not target.exists()
 
     def test_max_enum_flag(self, capsys):
         status = main(
@@ -431,6 +449,7 @@ class TestVerifyPaperChecks:
             "example:trivial-2-bicircular",
             "lemma:conj-not-left-circular",
             "lemma:ordering",
+            "lemma:fixed-point",
             "subbasis:semantics",
             "embedding:trivial-3-right",
         ]

@@ -64,7 +64,7 @@ class TestGroupFromTable:
         table = [[index[compose(p, q)] for q in elems] for p in elems]
         g = group_from_table(table, identity=index[(0, 1, 2)])
         assert g.size == 6
-        assert not g.is_abelian()
+        assert any(g.mul(a, b) != g.mul(b, a) for a in range(6) for b in range(6))
         assert g.table == symmetric_group(3).table
 
     def test_translations_are_bijections(self):
@@ -84,7 +84,8 @@ class TestCyclicGroup:
         assert cyclic_group(3).table == tuple(tuple(r) for r in Z3_TABLE)
 
     def test_z4_is_abelian(self):
-        assert cyclic_group(4).is_abelian()
+        t = cyclic_group(4).table
+        assert all(t[a][b] == t[b][a] for a in range(4) for b in range(4))
 
     def test_inverses(self):
         g = cyclic_group(5)

@@ -16,14 +16,10 @@ from quorder import (
     inner_group,
     is_involutory,
     is_latin,
-    is_semi_latin,
-    is_subquandle,
     is_trivial_quandle,
-    left_translation,
     orbits,
     product_quandle,
     quandle_from_table,
-    right_translation,
     scaling_automorphism,
     stabilizer_elements,
     symmetric_group,
@@ -180,19 +176,14 @@ class TestTranslations:
     def test_trivial_right_translation_is_identity(self):
         q = trivial_quandle(3)
         for s in range(3):
-            assert right_translation(q, s).map == identity_perm(3)
+            assert q.columns[s] == identity_perm(3)
 
     def test_trivial_left_translation_is_constant(self):
         q = trivial_quandle(3)
-        assert left_translation(q, 1).map == (1, 1, 1)
+        assert q.rows[1] == (1, 1, 1)
 
     def test_dihedral_right_translation(self):
-        assert right_translation(dihedral_quandle(3), 0).map == (0, 2, 1)
-
-    def test_translation_metadata(self):
-        q = dihedral_quandle(3)
-        t = right_translation(q, 1)
-        assert t.kind == "right" and t.base == 1 and t(0) == 2
+        assert dihedral_quandle(3).columns[0] == (0, 2, 1)
 
 
 class TestInnerGroup:
@@ -221,7 +212,7 @@ class TestPredicates:
 
     def test_trivial_3(self):
         q = trivial_quandle(3)
-        assert not is_semi_latin(q)
+        assert not is_latin(q)
         assert stabilizer_elements(q) == (0, 1, 2)
         assert is_trivial_quandle(q)
 
@@ -237,17 +228,7 @@ class TestPredicates:
             conj_quandle(symmetric_group(3)),
         ] + [q for qs in labeled_catalog.values() for q in qs]
         for q in quandles:
-            assert is_latin(q) == is_semi_latin(q)
-            if is_latin(q):
-                assert is_semi_latin(q)
-
-    def test_subquandles_of_three_element(self):
-        q = three_element_quandle()
-        assert is_subquandle(q, {2})
-        assert is_subquandle(q, {0, 1})
-        assert not is_subquandle(q, {0, 2})
-        with pytest.raises(ValueError):
-            is_subquandle(q, {5})
+            assert is_latin(q) == all(len(set(row)) == q.size for row in q.rows)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,7 +11,6 @@ from quorder import (
     DiagonalPair,
     InternalInconsistency,
     LinearOrder,
-    NotAPermutation,
     NotAQuandle,
     ResourceLimit,
     SearchCaps,
@@ -22,7 +21,6 @@ from quorder import (
     circular_from_linear,
     conj_quandle,
     cyclic_group,
-    cyclic_witness_for_permutations,
     decide_bicircular,
     decide_left_circular,
     decide_left_orderable,
@@ -45,12 +43,10 @@ from quorder import (
     is_left_order,
     is_right_invariant,
     is_right_order,
-    permutation_preserves,
     quandle_from_table,
     recheck_certificate,
-    subbasic_left,
+    subbasic_circular,
     subbasic_linear,
-    subbasic_right,
     symmetric_group,
     trivial_quandle,
 )
@@ -134,43 +130,6 @@ class TestEnumerateSpaces:
         assert enumerate_bi_orderings(q).members == (LinearOrder((0,)),)
 
 
-class TestWitnessEngine:
-    def test_identity_maps(self):
-        c = cyclic_witness_for_permutations([(0, 1, 2)], 3)
-        assert c == CyclicOrder((0, 1, 2))
-
-    def test_three_cycle(self):
-        c = cyclic_witness_for_permutations([(1, 2, 0)], 3)
-        assert c == CyclicOrder((0, 1, 2))
-
-    def test_transposition_with_fixed_point_has_no_witness(self):
-        assert cyclic_witness_for_permutations([(1, 0, 2)], 3) is None
-        # exhaustive confirmation over both arrangements
-        for arr in ((0, 1, 2), (0, 2, 1)):
-            assert not permutation_preserves(CyclicOrder(arr), (1, 0, 2))
-
-    def test_witness_is_preserved_by_all_maps(self):
-        maps = [(1, 2, 3, 0)]
-        c = cyclic_witness_for_permutations(maps, 4)
-        for m in maps:
-            assert permutation_preserves(c, m)
-
-    def test_interleaving_two_orbits(self):
-        # (0 1)(2 3): two orbits of size 2, generator order 2
-        c = cyclic_witness_for_permutations([(1, 0, 3, 2)], 4)
-        assert c is not None
-        assert permutation_preserves(c, (1, 0, 3, 2))
-        assert c.arrangement == (0, 2, 1, 3)
-
-    def test_small_degree_rejected(self):
-        with pytest.raises(ValueError):
-            cyclic_witness_for_permutations([(0, 1)], 2)
-
-    def test_non_permutation_rejected(self):
-        with pytest.raises(NotAPermutation):
-            cyclic_witness_for_permutations([(0, 0, 1)], 3)
-
-
 class TestDecisions:
     def test_trivial_3(self):
         vr = decide_right_circular(trivial_quandle(3))
@@ -191,7 +150,12 @@ class TestDecisions:
     def test_three_element_quandle(self):
         vr = decide_right_circular(THREE_ELT)
         assert not vr.answer
-        assert vr.certificate.kind == NON_SEMIREGULAR
+        assert vr.certificate == Certificate(
+            NON_SEMIREGULAR,
+            {"acting": "right translations", "group_order": 2, "permutation": [1, 0, 2], "fixed_point": 2},
+            "a non-identity element of the group generated by the right translations fixes point 2",
+        )
+        assert recheck_certificate(THREE_ELT, vr.certificate)
         vl = decide_left_circular(THREE_ELT)
         assert vl.certificate.kind == NON_INJECTIVE_LEFT
 
@@ -212,10 +176,20 @@ class TestDecisions:
         # R_s fixes s, so a non-identity translation always breaks semiregularity
         from quorder import is_trivial_quandle
 
-        for n in (3, 4):
-            for q in labeled_catalog[n]:
+        catalog = {**labeled_catalog, 5: generate_all_quandles(5)}
+        for n in (3, 4, 5):
+            for q in catalog[n]:
                 assert decide_right_circular(q).answer == is_trivial_quandle(q)
                 assert decide_left_circular(q).answer is False
+                assert decide_bicircular(q).answer is False
+
+    def test_trivial_quandles_need_no_closure(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("closure built for a trivial quandle")
+
+        monkeypatch.setattr(search, "closure", refuse)
+        v = decide("RCO", trivial_quandle(12), "fast")
+        assert v.answer and v.witness == CyclicOrder(tuple(range(12)))
 
     def test_right_orderable_iff_trivial(self):
         assert decide_right_orderable(trivial_quandle(4)).answer
@@ -349,17 +323,17 @@ class TestCertificates:
 class TestSubbasis:
     def test_right_subbasis_of_trivial_3(self):
         q = trivial_quandle(3)
-        assert subbasic_right(q, (0, 1, 2)) == (CyclicOrder((0, 1, 2)),)
-        assert subbasic_right(q, (0, 2, 1)) == (CyclicOrder((0, 2, 1)),)
+        assert subbasic_circular(q, "right", (0, 1, 2)) == (CyclicOrder((0, 1, 2)),)
+        assert subbasic_circular(q, "right", (0, 2, 1)) == (CyclicOrder((0, 2, 1)),)
 
     def test_left_subbasis_empty_when_lco_empty(self):
-        assert subbasic_left(trivial_quandle(3), (0, 1, 2)) == ()
+        assert subbasic_circular(trivial_quandle(3), "left", (0, 1, 2)) == ()
 
     def test_degenerate_triple_rejected(self):
         with pytest.raises(DegenerateTriple):
-            subbasic_right(trivial_quandle(3), (0, 0, 1))
+            subbasic_circular(trivial_quandle(3), "right", (0, 0, 1))
         with pytest.raises(DegenerateTriple):
-            subbasic_left(trivial_quandle(3), (2, 1, 2))
+            subbasic_circular(trivial_quandle(3), "left", (2, 1, 2))
 
     def test_linear_subbasis_counts(self):
         q = trivial_quandle(3)
