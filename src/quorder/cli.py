@@ -269,7 +269,7 @@ def _check_ordering_lemma(caps: SearchCaps) -> dict:
     checked = 0
     failures = 0
     for n in range(1, 5):
-        for q in generate_all_quandles(n, caps=caps):
+        for q in generate_all_quandles(n):
             rco = set(enumerate_rco(q, caps).members)
             lco = set(enumerate_lco(q, caps).members)
             for o in enumerate_right_orderings(q, caps):
@@ -295,7 +295,7 @@ def _check_fixed_point_lemma(caps: SearchCaps) -> dict:
     failures = 0
     for n in range(1, 6):
         circle = math.factorial(n - 1)  # the ground set: 1 for n <= 2, else (n-1)!
-        for q in generate_all_quandles(n, up_to_iso=True, caps=caps):
+        for q in generate_all_quandles(n, up_to_iso=True):
             trivial = is_trivial_quandle(q)
             expected = {
                 "RCO": circle if n <= 2 or trivial else 0,
@@ -421,6 +421,10 @@ def _load_quandle(config: RunConfig) -> FiniteQuandle:
 
 def _execute(config: RunConfig) -> tuple[dict, bool]:
     """Produce (report, negative) where negative drives --fail-on-no."""
+    enum_cap = min(config.caps.max_circular_n, config.caps.max_linear_n)
+    for flag, value in (("--max-enum", enum_cap), ("--max-order", config.max_order)):
+        if value < 1:
+            raise ParseError(f"{flag} must be at least 1, got {value}")
     if config.command in ("check", "enumerate", "witness") and config.prop not in PROPERTIES:
         raise ParseError(f"property must be one of {', '.join(PROPERTIES)}")
     if config.command in ("check", "witness"):

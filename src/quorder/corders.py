@@ -12,9 +12,10 @@ Membership tests on arrangements and rankings are structural. A map
 preserves a cyclic arrangement exactly when it shifts the arrangement by a
 fixed number of places (a rotation test, O(n) per map); a map is strictly
 increasing for a ranking exactly when it is increasing on each consecutive
-pair of the ranking (O(n) per map, by transitivity). The definitional
-triple scans remain for raw triple functions and for the invariance
-witnesses, and the test suite uses them as the reference oracle.
+pair of the ranking (O(n) per map, by transitivity). The invariance
+witnesses keep the definitional triple scan, on arrangements and raw triple
+functions alike, and the test suite uses them as the reference oracle. Raw
+triple functions are enumerated only up to MAX_TRIPLE_FUNCTION_N points.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import NotACircularOrdering, ResourceLimit, SmallCarrier
-from .groups import Perm
 from .quandles import FiniteQuandle
 
 
@@ -244,11 +244,18 @@ def left_invariance_witness(
     return _invariance_witness(c, q, q.rows)
 
 
-def _is_invariant(
-    c: CyclicOrder | TripleFunction, q: FiniteQuandle, maps: Sequence[Sequence[int]]
-) -> bool:
-    if isinstance(c, TripleFunction):
-        return _invariance_witness(c, q, maps) is None
+def _shifts_all(c: CyclicOrder, maps: Iterable[Sequence[int]]) -> bool:
+    """Every map sends the arrangement (n >= 2) onto a rotation of itself."""
+    arr = c.arrangement
+    image = itemgetter(*arr)
+    for m in maps:
+        k = arr.index(m[arr[0]])
+        if image(m) != arr[k:] + arr[:k]:
+            return False
+    return True
+
+
+def _is_invariant(c: CyclicOrder, q: FiniteQuandle, maps: Sequence[Sequence[int]]) -> bool:
     if c.size != q.size:
         raise ValueError("carrier sizes differ")
     # Every triple of a carrier with n <= 2 is degenerate, so any map preserves
@@ -257,12 +264,12 @@ def _is_invariant(
     return c.size <= 2 or _shifts_all(c, maps)
 
 
-def is_right_invariant(c: CyclicOrder | TripleFunction, q: FiniteQuandle) -> bool:
+def is_right_invariant(c: CyclicOrder, q: FiniteQuandle) -> bool:
     """Every right translation preserves the circular ordering."""
     return _is_invariant(c, q, q.columns)
 
 
-def is_left_invariant(c: CyclicOrder | TripleFunction, q: FiniteQuandle) -> bool:
+def is_left_invariant(c: CyclicOrder, q: FiniteQuandle) -> bool:
     """Every left translation preserves the circular ordering."""
     return _is_invariant(c, q, q.rows)
 
@@ -299,37 +306,6 @@ def is_right_order(o: LinearOrder, q: FiniteQuandle) -> bool:
 def is_left_order(o: LinearOrder, q: FiniteQuandle) -> bool:
     """Every left translation is strictly increasing for the ranking."""
     return _monotone(o, q, q.rows)
-
-
-# ---------------------------------------------------------------------------
-# how permutations interact with a cyclic arrangement
-
-
-def permutation_preserves(c: CyclicOrder, p: Perm) -> bool:
-    """True iff c(p(x), p(y), p(z)) = c(x, y, z) for all triples."""
-    n = c.size
-    return all(
-        c.evaluate(p[x], p[y], p[z]) == c.evaluate(x, y, z)
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
-    )
-
-
-def _shifts_all(c: CyclicOrder, maps: Iterable[Sequence[int]]) -> bool:
-    """Every map sends the arrangement (n >= 2) onto a rotation of itself."""
-    arr = c.arrangement
-    image = itemgetter(*arr)
-    for m in maps:
-        k = arr.index(m[arr[0]])
-        if image(m) != arr[k:] + arr[:k]:
-            return False
-    return True
-
-
-def is_rotation_of(c: CyclicOrder, p: Perm) -> bool:
-    """True iff p shifts the arrangement by a fixed number of places."""
-    return c.size == 1 or _shifts_all(c, (p,))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +353,10 @@ def _cocycle_constraints(n: int, index: dict) -> list[dict[int, int]]:
     return out
 
 
-def enumerate_triple_functions(n: int, cap: int = 5) -> tuple[TripleFunction, ...]:
+MAX_TRIPLE_FUNCTION_N = 5
+
+
+def enumerate_triple_functions(n: int) -> tuple[TripleFunction, ...]:
     """All circular orderings of an n-element carrier, found as raw functions.
 
     Searches the full space of +-1 assignments on nondegenerate triples
@@ -385,8 +364,8 @@ def enumerate_triple_functions(n: int, cap: int = 5) -> tuple[TripleFunction, ..
     cutting a branch as soon as a fully assigned cocycle constraint fails.
     Every valid assignment is reached, so the result is the complete set.
     """
-    if n > cap:
-        raise ResourceLimit("raw triple-function enumeration", n, cap)
+    if n > MAX_TRIPLE_FUNCTION_N:
+        raise ResourceLimit("raw triple-function enumeration", n, MAX_TRIPLE_FUNCTION_N)
     if n <= 2:
         return (TripleFunction.zero(n),)
     triples = _nondegenerate_triples(n)

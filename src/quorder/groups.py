@@ -139,11 +139,6 @@ class FiniteGroup:
         return k
 
 
-def group_from_table(table: Sequence[Sequence[int]], identity: int, name: str | None = None) -> FiniteGroup:
-    """Validate a raw table as a group; raises NotAGroup naming the first failure."""
-    return FiniteGroup(tuple(tuple(row) for row in table), identity, name)
-
-
 def cyclic_group(n: int) -> FiniteGroup:
     """Z_n with addition mod n and identity 0."""
     if n < 1:

@@ -30,7 +30,7 @@ from .radix import decode_mixed, encode_mixed
 
 @dataclass(frozen=True)
 class FiniteQuandle:
-    """Quandle on {0..n-1} with table entry (i, j) = i*j."""
+    """Quandle on {0..n-1}, entry (i, j) = i*j; a bad table raises NotAQuandle."""
 
     table: tuple[tuple[int, ...], ...]
     name: str | None = field(default=None, compare=False)
@@ -90,11 +90,6 @@ class FiniteQuandle:
         the image of L_s onto that of L_s', so it keeps both.
         """
         return tuple((cycle_type(col), len(set(row))) for col, row in zip(self.columns, self.rows))
-
-
-def quandle_from_table(table: Sequence[Sequence[int]], name: str | None = None) -> FiniteQuandle:
-    """Validate a raw table; raises NotAQuandle naming the first violated axiom."""
-    return FiniteQuandle(tuple(tuple(row) for row in table), name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Decision procedures and exhaustive enumeration for quandle order spaces.
+"""Decision procedures and exhaustive enumeration for the five order spaces
+of a quandle, one row each in SPACES: RCO, LCO and BCO (circular orderings
+invariant under right, left and both translations) and RO and LO (right and
+left orderings).
 
 Two tiers answer every orderability question. The structural fast path
 rests on the fixed-point lemma: s*s = s, so every translation fixes its own
@@ -9,8 +12,8 @@ is left or bi-circularly orderable, or left orderable. A negative verdict
 carries a certificate naming the translation that breaks the order. The
 brute tier filters the full finite space of arrangements or rankings. The
 two are diffed against each other whenever the carrier is small enough:
-`decide`'s auto strategy runs both, and `census` checks every fast-path
-verdict against its own enumeration of the space.
+`decide`'s auto strategy runs both up to ORACLE_MAX_N points, and `census`
+checks every fast-path verdict against its own enumeration of the space.
 """
 
 from __future__ import annotations
@@ -50,16 +53,15 @@ from .quandles import orbits as quandle_orbits
 
 @dataclass(frozen=True)
 class SearchCaps:
-    """Explicit resource limits; exceeding one raises ResourceLimit."""
+    """Enumeration limits (the CLI's --max-enum); exceeding one raises ResourceLimit."""
 
     max_circular_n: int = 10  # (n-1)! arrangements enumerated up to this n
     max_linear_n: int = 8  # n! rankings enumerated up to this n
-    max_closure_size: int = 10000
-    oracle_max_n: int = 6  # auto decisions cross-check against brute force up to this n
-    max_generate_n: int = 5
 
 
 DEFAULT_CAPS = SearchCaps()
+ORACLE_MAX_N = 6  # auto decisions cross-check against brute force up to this n
+MAX_GENERATE_N = 5  # quandles are generated up to this order
 
 # certificate kinds
 NON_CYCLIC = "non-cyclic-action"
@@ -98,8 +100,7 @@ class Verdict:
 class OrderSpace:
     """A fully enumerated, canonically sorted order space of a quandle."""
 
-    kind: str  # RCO | LCO | RO | LO | BO | BCO
-    quandle: FiniteQuandle
+    kind: str  # RCO | LCO | BCO | RO | LO
     members: tuple
 
     def __len__(self) -> int:
@@ -170,7 +171,7 @@ def _first_non_injective_left(q: FiniteQuandle) -> Certificate | None:
     return None
 
 
-def _fast_circular(q: FiniteQuandle, acting: str, caps: SearchCaps) -> Verdict:
+def _fast_circular(q: FiniteQuandle, acting: str) -> Verdict:
     """Decide a circular space by the fixed-point lemma (see the module doc):
     beyond two points only a trivial quandle is right circularly orderable,
     and none is left or bi-circularly orderable, since no left translation is
@@ -182,7 +183,7 @@ def _fast_circular(q: FiniteQuandle, acting: str, caps: SearchCaps) -> Verdict:
         cert = _first_non_injective_left(q)
         if cert is not None:
             return Verdict(False, certificate=cert)
-    g = closure(_acting_maps(q, acting), n, max_size=caps.max_closure_size)
+    g = closure(_acting_maps(q, acting), n)
     if not is_cyclic(g):
         cert = Certificate(
             NON_CYCLIC,
@@ -247,16 +248,15 @@ class _Space:
 
     The callables look their callees up as module globals when called, so a
     rebinding of, say, `is_right_invariant` is seen by every space using it.
-    BO has no CLI property, so no decision procedure and no census fields.
     """
 
     ground: Callable[[int, SearchCaps], tuple]
     member: Callable[[CyclicOrder | LinearOrder, FiniteQuandle], bool]
-    fast: Callable[[FiniteQuandle, SearchCaps], Verdict] | None = None
-    prop: str | None = None  # CLI property name
-    flag: str | None = None  # census field holding the decision
-    label: str | None = None  # what a decision decides
-    exhausted: str | None = None  # brute-force refutation, given the ground size
+    fast: Callable[[FiniteQuandle], Verdict]
+    prop: str  # CLI property name
+    flag: str  # census field holding the decision
+    label: str  # what a decision decides
+    exhausted: str  # brute-force refutation, given the ground size
 
 
 def _circular(n: int, caps: SearchCaps) -> tuple[CyclicOrder, ...]:
@@ -269,32 +269,31 @@ def _rankings(n: int, caps: SearchCaps) -> tuple[LinearOrder, ...]:
 
 SPACES = {
     "RCO": _Space(
-        _circular, lambda c, q: is_right_invariant(c, q), lambda q, caps: _fast_circular(q, RIGHT, caps),
+        _circular, lambda c, q: is_right_invariant(c, q), lambda q: _fast_circular(q, RIGHT),
         "right-circular", "right_circularly_orderable", "right-circular orderability",
         "none of the {} circular orderings is right-invariant",
     ),
     "LCO": _Space(
-        _circular, lambda c, q: is_left_invariant(c, q), lambda q, caps: _fast_circular(q, LEFT, caps),
+        _circular, lambda c, q: is_left_invariant(c, q), lambda q: _fast_circular(q, LEFT),
         "left-circular", "left_circularly_orderable", "left-circular orderability",
         "none of the {} circular orderings is left-invariant",
     ),
     "BCO": _Space(
         _circular, lambda c, q: is_right_invariant(c, q) and is_left_invariant(c, q),
-        lambda q, caps: _fast_circular(q, BOTH, caps),
+        lambda q: _fast_circular(q, BOTH),
         "bi-circular", "bi_circularly_orderable", "bi-circular orderability",
         "none of the {} circular orderings is both-invariant",
     ),
     "RO": _Space(
-        _rankings, lambda o, q: is_right_order(o, q), lambda q, caps: _fast_right_orderable(q),
+        _rankings, lambda o, q: is_right_order(o, q), _fast_right_orderable,
         "right-order", "right_orderable", "right orderability",
         "none of the {} rankings is a right ordering",
     ),
     "LO": _Space(
-        _rankings, lambda o, q: is_left_order(o, q), lambda q, caps: _fast_left_orderable(q),
+        _rankings, lambda o, q: is_left_order(o, q), _fast_left_orderable,
         "left-order", "left_orderable", "left orderability",
         "none of the {} rankings is a left ordering",
     ),
-    "BO": _Space(_rankings, lambda o, q: is_right_order(o, q) and is_left_order(o, q)),
 }
 
 # one-sided spaces by side: (rankings, circular orderings)
@@ -305,7 +304,7 @@ def enumerate_space(kind: str, q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS
     """Every member of the named order space, in ground-set order."""
     space = SPACES[kind]
     member = space.member
-    return OrderSpace(kind, q, tuple([x for x in space.ground(q.size, caps) if member(x, q)]))
+    return OrderSpace(kind, tuple([x for x in space.ground(q.size, caps) if member(x, q)]))
 
 
 def _brute(kind: str, q: FiniteQuandle, caps: SearchCaps) -> Verdict:
@@ -333,14 +332,14 @@ def _agree(kind: str, fast: bool, exhaustive: bool) -> None:
 def decide(
     kind: str, q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS
 ) -> Verdict:
-    """Decide whether the named space (one of the five with a CLI property) is
-    nonempty. Runs the requested tiers; 'auto' diffs them on small carriers."""
+    """Decide whether the named space is nonempty. Runs the requested tiers;
+    'auto' diffs them on carriers of at most ORACLE_MAX_N points."""
     if strategy not in ("auto", "fast", "brute"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "brute":
         return _brute(kind, q, caps)
-    verdict = SPACES[kind].fast(q, caps)
-    if strategy == "auto" and q.size <= caps.oracle_max_n:
+    verdict = SPACES[kind].fast(q)
+    if strategy == "auto" and q.size <= ORACLE_MAX_N:
         _agree(kind, verdict.answer, _brute(kind, q, caps).answer)
     return verdict
 
@@ -363,10 +362,6 @@ def enumerate_right_orderings(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS)
 
 def enumerate_left_orderings(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
     return enumerate_space("LO", q, caps)
-
-
-def enumerate_bi_orderings(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
-    return enumerate_space("BO", q, caps)
 
 
 def decide_right_circular(q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS) -> Verdict:
@@ -462,7 +457,7 @@ def recheck_certificate(q: FiniteQuandle, cert: Certificate) -> bool:
         return moved == image != t
     if cert.kind == EXHAUSTED:
         for kind, space in SPACES.items():
-            if space.exhausted is not None and cert.detail == space.exhausted.format(data.get("checked")):
+            if cert.detail == space.exhausted.format(data.get("checked")):
                 return _brute(kind, q, DEFAULT_CAPS).certificate == cert
     return False
 
@@ -619,9 +614,7 @@ def canonical_form(q: FiniteQuandle) -> tuple[tuple[int, ...], ...]:
     return best
 
 
-def generate_all_quandles(
-    n: int, up_to_iso: bool = False, caps: SearchCaps = DEFAULT_CAPS
-) -> tuple[FiniteQuandle, ...]:
+def generate_all_quandles(n: int, up_to_iso: bool = False) -> tuple[FiniteQuandle, ...]:
     """Every quandle of order n, by column-wise backtracking.
 
     Columns are the right-translation permutations c_0, ..., c_{n-1}; column
@@ -635,8 +628,8 @@ def generate_all_quandles(
     tested: then m = k and both sides are c_k . c_k.) Output order follows
     the lexicographic candidate order, so it is deterministic.
     """
-    if n > caps.max_generate_n:
-        raise ResourceLimit("quandle generation", n, caps.max_generate_n)
+    if n > MAX_GENERATE_N:
+        raise ResourceLimit("quandle generation", n, MAX_GENERATE_N)
     if n < 1:
         raise ValueError("carrier must be nonempty")
     candidates = {
@@ -688,20 +681,19 @@ def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
 
     Classes are keyed by their canonical (lexicographically least) table and
     numbered in that order, so reports are stable under relabeling. The
-    space sizes record how large the finite RCO/LCO/RO/LO spaces actually
+    space sizes record how large the five finite spaces actually
     come out, not just whether they are empty. Each space is scanned once:
     its flag is the fast path's answer, diffed against the enumeration (the
     brute tier) on every class.
     """
-    spaces = [(kind, s) for kind, s in SPACES.items() if s.prop is not None]
     records = []
     for n in range(1, max_n + 1):
-        reps = generate_all_quandles(n, up_to_iso=True, caps=caps)
+        reps = generate_all_quandles(n, up_to_iso=True)
         canon = sorted(canonical_form(q) for q in reps)
         for class_id, table in enumerate(canon):
             q = FiniteQuandle(table)
             flags, sizes = {}, {}
-            for kind, s in spaces:
+            for kind, s in SPACES.items():
                 size = len(ENUMERATORS[s.prop](q, caps))
                 flag = DECIDERS[s.prop](q, strategy="fast", caps=caps).answer
                 _agree(kind, flag, size > 0)

@@ -10,6 +10,7 @@ from quorder import (
     FiniteQuandle,
     NotAQuandle,
     ParseError,
+    SearchCaps,
     cyclic_group,
     dihedral_quandle,
     symmetric_group,
@@ -17,6 +18,7 @@ from quorder import (
 )
 from quorder import search
 from quorder.cli import (
+    PROPERTIES,
     RunConfig,
     build_parser,
     group_from_spec,
@@ -264,6 +266,30 @@ class TestRun:
         )
         assert status == 2
 
+    @pytest.mark.parametrize(
+        "config, detail",
+        [
+            (RunConfig(command="census", max_order=0), "--max-order must be at least 1, got 0"),
+            (RunConfig(command="census", max_order=-3), "--max-order must be at least 1, got -3"),
+            (
+                RunConfig(
+                    command="enumerate",
+                    builtin="trivial:3",
+                    prop="right-circular",
+                    caps=SearchCaps(max_circular_n=-1, max_linear_n=-1),
+                ),
+                "--max-enum must be at least 1, got -1",
+            ),
+            (
+                RunConfig(command="verify-paper", caps=SearchCaps(max_linear_n=0)),
+                "--max-enum must be at least 1, got 0",
+            ),
+        ],
+        ids=["max-order-0", "max-order-negative", "max-enum-negative", "max-enum-0"],
+    )
+    def test_caps_below_one_rejected(self, config, detail):
+        assert run(config) == ({"error": {"kind": "ParseError", "detail": detail}}, 2)
+
     def test_census_command(self):
         report, status = run(RunConfig(command="census", max_order=3))
         assert status == 0
@@ -351,6 +377,21 @@ class TestMain:
         )
         assert status == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--builtin", "trivial:3", "--property", "right-circular", "--max-enum", "-1"],
+            ["check", "--builtin", "trivial:3", "--property", "left-order", "--max-enum", "0"],
+            ["census", "--max-order", "-3"],
+            ["census", "--max-order", "0"],
+        ],
+    )
+    def test_caps_below_one_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "ParseError"
+        assert "must be at least 1" in error["detail"]
+
     def test_strategy_flag(self, capsys):
         status = main(
             [
@@ -403,7 +444,7 @@ class TestMain:
         wrong = search.Verdict(
             False, certificate=search.Certificate(search.EXHAUSTED, {"checked": 0}, "wrong")
         )
-        monkeypatch.setitem(search.SPACES, "RCO", replace(search.SPACES["RCO"], fast=lambda q, caps: wrong))
+        monkeypatch.setitem(search.SPACES, "RCO", replace(search.SPACES["RCO"], fast=lambda q: wrong))
         argv = ["check", "--builtin", "trivial:3", "--property", "right-circular", "--fail-on-no"]
         assert main(argv) == 4
         error = json.loads(capsys.readouterr().out)["error"]
@@ -415,7 +456,7 @@ class TestMain:
         wrong = search.Verdict(
             False, certificate=search.Certificate(search.EXHAUSTED, {"checked": 0}, "wrong")
         )
-        monkeypatch.setitem(search.SPACES, "RCO", replace(search.SPACES["RCO"], fast=lambda q, caps: wrong))
+        monkeypatch.setitem(search.SPACES, "RCO", replace(search.SPACES["RCO"], fast=lambda q: wrong))
         assert main(["census", "--max-order", "3"]) == 4
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["kind"] == "internal-inconsistency"
@@ -454,3 +495,11 @@ class TestVerifyPaperChecks:
             "embedding:trivial-3-right",
         ]
         assert all(c["passed"] for c in checks)
+
+
+def test_five_properties_in_one_order():
+    # the order-space table, both dispatch tables and the CLI choices agree
+    props = ("right-circular", "left-circular", "bi-circular", "right-order", "left-order")
+    assert tuple(space.prop for space in search.SPACES.values()) == props
+    assert tuple(search.DECIDERS) == tuple(search.ENUMERATORS) == PROPERTIES == props
+    assert tuple(search.SPACES) == ("RCO", "LCO", "BCO", "RO", "LO")

@@ -25,9 +25,7 @@ from quorder import (
     is_left_order,
     is_right_invariant,
     is_right_order,
-    is_rotation_of,
     left_invariance_witness,
-    permutation_preserves,
     right_invariance_witness,
     trivial_quandle,
     validate_triple_function,
@@ -260,8 +258,8 @@ class TestInvariance:
     def test_triple_function_input_accepted(self):
         q = trivial_quandle(3)
         f = cyclic_to_function(CyclicOrder((0, 1, 2)))
-        assert is_right_invariant(f, q)
-        assert not is_left_invariant(f, q)
+        assert right_invariance_witness(f, q) is None
+        assert left_invariance_witness(f, q) == (0, 0, 1, 2)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -317,10 +315,6 @@ class TestMembershipMatchesDefinition:
             "BCO": (enumerate_circular_orderings, lambda c, q: right(c, q) and left(c, q)),
             "RO": (enumerate_rankings, lambda o, q: pairwise_monotone(o, q.columns)),
             "LO": (enumerate_rankings, lambda o, q: pairwise_monotone(o, q.rows)),
-            "BO": (
-                enumerate_rankings,
-                lambda o, q: pairwise_monotone(o, q.columns) and pairwise_monotone(o, q.rows),
-            ),
         }
         classes = [q for n in range(1, 6) for q in class_catalog[n]]
         assert len(classes) == 34
@@ -387,19 +381,23 @@ def test_rotations_of_an_arrangement_are_invariant(n, rng):
 
 
 class TestRotationCharacterization:
+    """A single permutation preserves an arrangement exactly when it rotates it."""
+
     def test_preserving_permutations_are_rotations(self):
         for n in range(3, 7):
             c = CyclicOrder(tuple(range(n)))
-            preserving = {p for p in permutations(range(n)) if permutation_preserves(c, p)}
-            rotations = {p for p in permutations(range(n)) if is_rotation_of(c, p)}
+            perms = list(permutations(range(n)))
+            preserving = {p for p in perms if right_invariance_witness(c, translations(n, [p])) is None}
+            rotations = {p for p in perms if is_right_invariant(c, translations(n, [p]))}
             assert preserving == rotations
-            assert len(rotations) == n
+            assert rotations == {tuple((x + k) % n for x in range(n)) for k in range(n)}
 
     def test_all_arrangements_up_to_4(self):
         for n in (3, 4):
             for c in all_arrangements(n):
                 for p in permutations(range(n)):
-                    assert permutation_preserves(c, p) == is_rotation_of(c, p)
+                    q = translations(n, [p])
+                    assert is_right_invariant(c, q) == (right_invariance_witness(c, q) is None)
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quorder import (
+    FiniteGroup,
     GroupAutomorphism,
     NotAGroup,
     NotAnAutomorphism,
@@ -16,7 +17,6 @@ from quorder import (
     cyclic_group,
     direct_product,
     fixed_point_witness,
-    group_from_table,
     is_cyclic,
     is_semiregular,
     scaling_automorphism,
@@ -41,28 +41,28 @@ NONASSOC_LOOP = [
 
 class TestGroupFromTable:
     def test_cyclic_3_table_is_valid(self):
-        g = group_from_table(Z3_TABLE, identity=0)
+        g = FiniteGroup(Z3_TABLE, identity=0)
         assert g.size == 3
         assert g.mul(1, 2) == 0
 
     def test_non_bijective_row_rejected(self):
         with pytest.raises(NotAGroup, match="row 1"):
-            group_from_table([[0, 1], [1, 1]], identity=0)
+            FiniteGroup([[0, 1], [1, 1]], identity=0)
 
     def test_identity_failure_rejected(self):
         with pytest.raises(NotAGroup, match="identity"):
-            group_from_table([[1, 0], [0, 1]], identity=0)
+            FiniteGroup([[1, 0], [0, 1]], identity=0)
 
     def test_associativity_failure_rejected(self):
         with pytest.raises(NotAGroup, match="associativity"):
-            group_from_table(NONASSOC_LOOP, identity=0)
+            FiniteGroup(NONASSOC_LOOP, identity=0)
 
     def test_s3_built_from_permutation_composition(self):
         # independent construction: compose the six permutations of 3 points
         elems = sorted(permutations(range(3)))
         index = {p: i for i, p in enumerate(elems)}
         table = [[index[compose(p, q)] for q in elems] for p in elems]
-        g = group_from_table(table, identity=index[(0, 1, 2)])
+        g = FiniteGroup(table, identity=index[(0, 1, 2)])
         assert g.size == 6
         assert any(g.mul(a, b) != g.mul(b, a) for a in range(6) for b in range(6))
         assert g.table == symmetric_group(3).table

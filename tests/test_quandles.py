@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quorder import (
+    FiniteQuandle,
     NotAQuandle,
     NotInvertible,
     affine_quandle,
@@ -19,7 +20,6 @@ from quorder import (
     is_trivial_quandle,
     orbits,
     product_quandle,
-    quandle_from_table,
     scaling_automorphism,
     stabilizer_elements,
     symmetric_group,
@@ -32,7 +32,7 @@ THREE_ELT = [[0, 0, 1], [1, 1, 0], [2, 2, 2]]
 
 
 def three_element_quandle():
-    return quandle_from_table(THREE_ELT)
+    return FiniteQuandle(THREE_ELT)
 
 
 class TestValidation:
@@ -41,24 +41,24 @@ class TestValidation:
         assert q.size == 3
 
     def test_trivial_table_is_valid(self):
-        quandle_from_table([[0, 0, 0], [1, 1, 1], [2, 2, 2]])
+        FiniteQuandle([[0, 0, 0], [1, 1, 1], [2, 2, 2]])
 
     def test_idempotency_violation(self):
         with pytest.raises(NotAQuandle) as exc:
-            quandle_from_table([[1, 0], [0, 1]])
+            FiniteQuandle([[1, 0], [0, 1]])
         assert exc.value.axiom == "idempotency"
         assert exc.value.witness == (0, 0)
 
     def test_column_bijectivity_violation(self):
         with pytest.raises(NotAQuandle) as exc:
-            quandle_from_table([[0, 0, 0], [1, 1, 0], [2, 2, 2]])
+            FiniteQuandle([[0, 0, 0], [1, 1, 0], [2, 2, 2]])
         assert exc.value.axiom == "right-bijectivity"
 
     def test_distributivity_violation(self):
         # diagonal idempotent, all columns permutations, but (0*2)*0 != (0*0)*(2*0)
         bad = [[0, 2, 0], [2, 1, 1], [1, 0, 2]]
         with pytest.raises(NotAQuandle) as exc:
-            quandle_from_table(bad)
+            FiniteQuandle(bad)
         assert exc.value.axiom == "right-distributivity"
 
 
@@ -253,5 +253,5 @@ def test_dual_of_dual_roundtrips(perm):
         tuple(perm[base.op(perm.index(i), perm.index(j))] for j in range(5))
         for i in range(5)
     )
-    q = quandle_from_table(table)
+    q = FiniteQuandle(table)
     assert dual_quandle(dual_quandle(q)).table == q.table
