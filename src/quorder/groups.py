@@ -318,15 +318,3 @@ def orbits(g: PermutationGroup) -> tuple[tuple[int, ...], ...]:
 def is_semiregular(g: PermutationGroup) -> bool:
     """True iff every orbit has size exactly |g|."""
     return all(len(orbit) == g.order for orbit in orbits(g))
-
-
-def fixed_point_witness(g: PermutationGroup) -> tuple[Perm, int] | None:
-    """A non-identity element with a fixed point, or None when the action is free."""
-    ident = identity_perm(g.degree)
-    for p in sorted(g.elements):  # sorted, so the witness is reproducible
-        if p == ident:
-            continue
-        for x in range(g.degree):
-            if p[x] == x:
-                return p, x
-    return None

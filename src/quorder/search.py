@@ -8,10 +8,14 @@ rests on the fixed-point lemma: s*s = s, so every translation fixes its own
 base point, and an order-preserving bijection of a finite circle or chain
 that fixes a point is the identity. Beyond two points, then, only trivial
 quandles are right circularly orderable or right orderable, and no quandle
-is left or bi-circularly orderable, or left orderable. A negative verdict
-carries a certificate naming the translation that breaks the order. The
-brute tier filters the full finite space of arrangements or rankings. The
-two are diffed against each other whenever the carrier is small enough:
+is left or bi-circularly orderable, or left orderable. One function per side
+decides both the circle and the chain, and no decision builds a permutation
+group. A negative verdict carries a pointwise certificate naming one
+translation that breaks the order: on the right side (RCO, RO) the first
+right translation that moves a point, on the left side (LCO, BCO, LO) the
+first non-injective left translation, else L_0, which moves 1. The brute
+tier filters the full finite space of arrangements or rankings. The two are
+diffed against each other whenever the carrier is small enough:
 `decide`'s auto strategy runs both up to ORACLE_MAX_N points, and `census`
 checks every fast-path verdict against its own enumeration of the space.
 """
@@ -37,16 +41,10 @@ from .errors import (
     InternalInconsistency,
     ResourceLimit,
 )
-from .groups import (
-    Perm,
-    closure,
-    fixed_point_witness,
-    identity_perm,
-    invert,
-    is_cyclic,
-    is_permutation,
-    is_semiregular,
-)
+from .groups import Perm, invert
+
+# uncalled here: perfbench/tracing.py wraps these names (ROADMAP item 3 removes them)
+from .groups import closure, is_cyclic, is_semiregular  # noqa: F401
 from .quandles import FiniteQuandle, is_involutory, is_latin, is_trivial_quandle
 from .quandles import orbits as quandle_orbits
 
@@ -64,8 +62,6 @@ ORACLE_MAX_N = 6  # auto decisions cross-check against brute force up to this n
 MAX_GENERATE_N = 5  # quandles are generated up to this order
 
 # certificate kinds
-NON_CYCLIC = "non-cyclic-action"
-NON_SEMIREGULAR = "non-semiregular-action"
 NON_INJECTIVE_LEFT = "non-injective-left-translation"
 NON_IDENTITY_RIGHT = "non-identity-right-translation"
 NON_IDENTITY_LEFT = "non-identity-left-translation"
@@ -142,17 +138,17 @@ def enumerate_rankings(n: int, caps: SearchCaps = DEFAULT_CAPS) -> tuple[LinearO
 
 
 # ---------------------------------------------------------------------------
-# the structural fast path
+# the structural fast path: one function per side, for the circle and the chain
 
-RIGHT, LEFT, BOTH = "right translations", "left translations", "left and right translations"
+# why a translation that moves a point breaks a circular ordering
+_CIRCLE = (
+    "it fixes its base point, and an order-preserving bijection of a finite circle "
+    "with a fixed point is the identity"
+)
 
 
-def _acting_maps(q: FiniteQuandle, acting: str) -> list[Perm] | None:
-    """The translation maps a certificate names, or None for an unknown name."""
-    if not isinstance(acting, str):
-        return None
-    maps = {RIGHT: q.columns, LEFT: q.rows, BOTH: q.columns + q.rows}.get(acting)
-    return None if maps is None else list(maps)
+def _identity_order(n: int, circle: bool) -> CyclicOrder | LinearOrder:
+    return (CyclicOrder if circle else LinearOrder)(tuple(range(n)))
 
 
 def _first_non_injective_left(q: FiniteQuandle) -> Certificate | None:
@@ -171,40 +167,13 @@ def _first_non_injective_left(q: FiniteQuandle) -> Certificate | None:
     return None
 
 
-def _fast_circular(q: FiniteQuandle, acting: str) -> Verdict:
-    """Decide a circular space by the fixed-point lemma (see the module doc):
-    beyond two points only a trivial quandle is right circularly orderable,
-    and none is left or bi-circularly orderable, since no left translation is
-    the identity. The group closure is built only to certify a no."""
+def _fast_right(q: FiniteQuandle, circle: bool) -> Verdict:
+    """RCO (circle) or RO: R_s fixes s, so a right translation that preserves
+    the order is the identity, and only trivial quandles qualify. Every
+    quandle on at most two points is trivial, so the circle needs no n <= 2
+    case. A no names the first right translation that moves a point."""
     n = q.size
-    if n <= 2 or (acting == RIGHT and is_trivial_quandle(q)):
-        return Verdict(True, witness=CyclicOrder(tuple(range(n))))
-    if acting != RIGHT:
-        cert = _first_non_injective_left(q)
-        if cert is not None:
-            return Verdict(False, certificate=cert)
-    g = closure(_acting_maps(q, acting), n)
-    if not is_cyclic(g):
-        cert = Certificate(
-            NON_CYCLIC,
-            {"acting": acting, "group_order": g.order},
-            f"the group generated by the {acting} has order {g.order} and is not cyclic",
-        )
-        return Verdict(False, certificate=cert)
-    # never None: a non-identity translation fixes its own base point
-    perm, point = fixed_point_witness(g)
-    cert = Certificate(
-        NON_SEMIREGULAR,
-        {"acting": acting, "group_order": g.order, "permutation": list(perm), "fixed_point": point},
-        f"a non-identity element of the group generated by the {acting} fixes point {point}",
-    )
-    return Verdict(False, certificate=cert)
-
-
-def _fast_right_orderable(q: FiniteQuandle) -> Verdict:
-    """A right translation strictly increasing for a finite ranking must be the
-    identity, so only trivial quandles are right orderable."""
-    n = q.size
+    why = _CIRCLE if circle else "a strictly increasing bijection of a finite chain is the identity"
     for s in range(n):
         col = q.columns[s]
         for t in range(n):
@@ -214,26 +183,29 @@ def _fast_right_orderable(q: FiniteQuandle) -> Verdict:
                     certificate=Certificate(
                         NON_IDENTITY_RIGHT,
                         {"base": s, "point": t, "image": col[t]},
-                        f"right translation by {s} moves {t} to {col[t]}; a strictly "
-                        "increasing bijection of a finite chain is the identity",
+                        f"right translation by {s} moves {t} to {col[t]}; {why}",
                     ),
                 )
-    return Verdict(True, witness=LinearOrder(tuple(range(n))))
+    return Verdict(True, witness=_identity_order(n, circle))
 
 
-def _fast_left_orderable(q: FiniteQuandle) -> Verdict:
+def _fast_left(q: FiniteQuandle, circle: bool) -> Verdict:
+    """LCO and BCO (circle) or LO: no left translation is the identity, so
+    beyond two points (the circle) or one point (the chain) the answer is no.
+    A no names the first non-injective left translation, else L_0, which
+    fixes 0 and moves 1."""
     n = q.size
-    if n == 1:
-        return Verdict(True, witness=LinearOrder((0,)))
+    if n <= (2 if circle else 1):
+        return Verdict(True, witness=_identity_order(n, circle))
     cert = _first_non_injective_left(q)
     if cert is None:
         # in a quandle s*t = t forces s = t, so row 0 moves the point 1
-        s, t = 0, 1
+        image = q.op(0, 1)
+        why = _CIRCLE if circle else "a strictly increasing self-map of a finite chain is the identity"
         cert = Certificate(
             NON_IDENTITY_LEFT,
-            {"base": s, "point": t, "image": q.op(s, t)},
-            f"left translation by {s} moves {t} to {q.op(s, t)}; a strictly "
-            "increasing self-map of a finite chain is the identity",
+            {"base": 0, "point": 1, "image": image},
+            f"left translation by 0 moves 1 to {image}; {why}",
         )
     return Verdict(False, certificate=cert)
 
@@ -269,28 +241,28 @@ def _rankings(n: int, caps: SearchCaps) -> tuple[LinearOrder, ...]:
 
 SPACES = {
     "RCO": _Space(
-        _circular, lambda c, q: is_right_invariant(c, q), lambda q: _fast_circular(q, RIGHT),
+        _circular, lambda c, q: is_right_invariant(c, q), lambda q: _fast_right(q, True),
         "right-circular", "right_circularly_orderable", "right-circular orderability",
         "none of the {} circular orderings is right-invariant",
     ),
     "LCO": _Space(
-        _circular, lambda c, q: is_left_invariant(c, q), lambda q: _fast_circular(q, LEFT),
+        _circular, lambda c, q: is_left_invariant(c, q), lambda q: _fast_left(q, True),
         "left-circular", "left_circularly_orderable", "left-circular orderability",
         "none of the {} circular orderings is left-invariant",
     ),
     "BCO": _Space(
         _circular, lambda c, q: is_right_invariant(c, q) and is_left_invariant(c, q),
-        lambda q: _fast_circular(q, BOTH),
+        lambda q: _fast_left(q, True),
         "bi-circular", "bi_circularly_orderable", "bi-circular orderability",
         "none of the {} circular orderings is both-invariant",
     ),
     "RO": _Space(
-        _rankings, lambda o, q: is_right_order(o, q), _fast_right_orderable,
+        _rankings, lambda o, q: is_right_order(o, q), lambda q: _fast_right(q, False),
         "right-order", "right_orderable", "right orderability",
         "none of the {} rankings is a right ordering",
     ),
     "LO": _Space(
-        _rankings, lambda o, q: is_left_order(o, q), _fast_left_orderable,
+        _rankings, lambda o, q: is_left_order(o, q), lambda q: _fast_left(q, False),
         "left-order", "left_orderable", "left orderability",
         "none of the {} rankings is a left ordering",
     ),
@@ -412,37 +384,16 @@ def _points(q: FiniteQuandle, values) -> bool:
 def recheck_certificate(q: FiniteQuandle, cert: Certificate) -> bool:
     """Re-validate a refutation certificate directly against the quandle.
 
-    Group-theoretic reasons are recomputed from the closure of the named
-    translation maps, which must all be permutations; pointwise reasons are
-    checked against the table; an exhaustive-search certificate is accepted
-    only when the scan of the space its detail names, redone under the
-    default caps, refutes the space over exactly the stated number of
-    candidates. Malformed data (not a dict, a missing key, an index that is
-    not a plain int naming a point) is rejected, never raised on.
+    Pointwise reasons are checked against the table; an exhaustive-search
+    certificate is accepted only when the scan of the space its detail
+    names, redone under the default caps, refutes the space over exactly the
+    stated number of candidates. An unknown kind and malformed data (not a
+    dict, a missing key, an index that is not a plain int naming a point)
+    are rejected, never raised on.
     """
     data = cert.data
     if not isinstance(data, dict):
         return False
-    if cert.kind in (NON_CYCLIC, NON_SEMIREGULAR):
-        maps = _acting_maps(q, data.get("acting"))
-        if maps is None or not all(is_permutation(m, q.size) for m in maps):
-            return False
-        g = closure(maps, q.size)
-        if type(data.get("group_order")) is not int or g.order != data["group_order"]:
-            return False
-        if cert.kind == NON_CYCLIC:
-            return not is_cyclic(g)
-        perm = data.get("permutation")
-        point = data.get("fixed_point")
-        if not (_points(q, perm) and _points(q, [point])):
-            return False
-        perm = tuple(perm)
-        return (
-            perm in g.elements
-            and perm != identity_perm(q.size)
-            and perm[point] == point
-            and not is_semiregular(g)
-        )
     if cert.kind == NON_INJECTIVE_LEFT:
         s, pair, image = data.get("base"), data.get("pair"), data.get("image")
         if not (_points(q, [s, image]) and _points(q, pair) and len(pair) == 2):

@@ -34,6 +34,7 @@ from quorder import (
     enumerate_right_orderings,
     enumerate_triple_functions,
     generate_all_quandles,
+    inner_group,
     is_left_invariant,
     is_right_invariant,
     recheck_certificate,
@@ -82,9 +83,9 @@ def test_criterion_02_dihedral_z3_has_no_circular_orderings():
         assert len(enumerate_lco(q)) == 0
         v = decide_right_circular(q)
         assert not v.answer
-        assert v.certificate.kind == "non-cyclic-action"
-        assert v.certificate.data["group_order"] == 6
+        assert v.certificate.kind == "non-identity-right-translation"
         assert recheck_certificate(q, v.certificate)
+        assert inner_group(q).order == 6
 
 
 def test_criterion_03_trivial_two_element_quandle_is_bicircular():

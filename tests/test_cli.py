@@ -160,8 +160,8 @@ class TestRun:
         assert status == 0
         assert report["verdict"]["answer"] == "no"
         cert = report["verdict"]["certificate"]
-        assert cert["kind"] == "non-cyclic-action"
-        assert cert["data"]["group_order"] == 6
+        assert cert["kind"] == "non-identity-right-translation"
+        assert cert["data"] == {"base": 0, "point": 1, "image": 2}
 
     def test_enumerate_counts(self):
         report, status = run(
@@ -200,17 +200,16 @@ class TestRun:
         assert report["error"]["kind"] == "resource-limit"
 
     def test_closure_cap_detail(self):
-        # the count stops at the first element over the cap, not at a coset boundary
+        # the right translations of core:s5 generate more than the closure's
+        # 10000-element cap; the decision builds no group, so it is not reached
         report, status = run(
             RunConfig(command="check", builtin="core:s5", prop="right-circular")
         )
-        assert status == 3
-        assert report == {
-            "error": {
-                "kind": "resource-limit",
-                "detail": "permutation closure: requested 10001 exceeds cap 10000",
-            }
-        }
+        assert status == 0
+        verdict = report["verdict"]
+        assert verdict["answer"] == "no"
+        cert = search.Certificate(**verdict["certificate"])
+        assert search.recheck_certificate(quandle_from_builtin("core:s5"), cert)
 
     def test_dihedral_25_bicircular_certificate(self):
         report, status = run(
@@ -218,8 +217,8 @@ class TestRun:
         )
         assert status == 0
         cert = report["verdict"]["certificate"]
-        assert cert["kind"] == "non-cyclic-action"
-        assert cert["data"] == {"acting": "left and right translations", "group_order": 500}
+        assert cert["kind"] == "non-identity-left-translation"
+        assert cert["data"] == {"base": 0, "point": 1, "image": 2}
 
     def test_invalid_input_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -495,6 +494,12 @@ class TestVerifyPaperChecks:
             "embedding:trivial-3-right",
         ]
         assert all(c["passed"] for c in checks)
+        assert checks[1]["details"] == {
+            "rco_count": 0,
+            "lco_count": 0,
+            "right_certificate": "non-identity-right-translation",
+            "inner_group_order": 6,
+        }
 
 
 def test_five_properties_in_one_order():

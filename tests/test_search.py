@@ -49,16 +49,13 @@ from quorder import (
     symmetric_group,
     trivial_quandle,
 )
-from quorder import search
+from quorder import quandles, search
 from quorder.cli import quandle_from_builtin
 from quorder.search import (
     EXHAUSTED,
-    LEFT,
-    NON_CYCLIC,
     NON_IDENTITY_LEFT,
     NON_IDENTITY_RIGHT,
     NON_INJECTIVE_LEFT,
-    NON_SEMIREGULAR,
     Certificate,
     decide,
 )
@@ -136,31 +133,42 @@ class TestDecisions:
         assert vl.certificate.kind == NON_INJECTIVE_LEFT
 
     def test_dihedral_3(self):
+        # every left translation is a bijection, so L_0 is named
         q = dihedral_quandle(3)
         vr = decide_right_circular(q)
         assert not vr.answer
-        assert vr.certificate.kind == NON_CYCLIC
-        assert vr.certificate.data["group_order"] == 6
-        assert not decide_left_circular(q).answer
-        assert not decide_bicircular(q).answer
+        assert vr.certificate.kind == NON_IDENTITY_RIGHT
+        assert vr.certificate.data == {"base": 0, "point": 1, "image": 2}
+        for decide_side in (decide_left_circular, decide_bicircular):
+            v = decide_side(q)
+            assert not v.answer
+            assert v.certificate == Certificate(
+                NON_IDENTITY_LEFT,
+                {"base": 0, "point": 1, "image": 2},
+                "left translation by 0 moves 1 to 2; it fixes its base point, and an "
+                "order-preserving bijection of a finite circle with a fixed point is the identity",
+            )
+            assert recheck_certificate(q, v.certificate)
 
     def test_three_element_quandle(self):
         vr = decide_right_circular(THREE_ELT)
         assert not vr.answer
         assert vr.certificate == Certificate(
-            NON_SEMIREGULAR,
-            {"acting": "right translations", "group_order": 2, "permutation": [1, 0, 2], "fixed_point": 2},
-            "a non-identity element of the group generated by the right translations fixes point 2",
+            NON_IDENTITY_RIGHT,
+            {"base": 2, "point": 0, "image": 1},
+            "right translation by 2 moves 0 to 1; it fixes its base point, and an "
+            "order-preserving bijection of a finite circle with a fixed point is the identity",
         )
         assert recheck_certificate(THREE_ELT, vr.certificate)
         vl = decide_left_circular(THREE_ELT)
         assert vl.certificate.kind == NON_INJECTIVE_LEFT
 
     def test_conj_s3_right(self):
-        v = decide_right_circular(conj_quandle(symmetric_group(3)))
+        q = conj_quandle(symmetric_group(3))
+        v = decide_right_circular(q)
         assert not v.answer
-        assert v.certificate.kind == NON_CYCLIC
-        assert v.certificate.data["group_order"] == 6
+        assert v.certificate.kind == NON_IDENTITY_RIGHT
+        assert recheck_certificate(q, v.certificate)
 
     def test_tiny_carriers_are_bicircular(self):
         for n in (1, 2):
@@ -180,11 +188,18 @@ class TestDecisions:
                 assert decide_left_circular(q).answer is False
                 assert decide_bicircular(q).answer is False
 
-    def test_trivial_quandles_need_no_closure(self, monkeypatch):
+    def test_no_decision_builds_a_group(self, monkeypatch, labeled_catalog):
         def refuse(*args, **kwargs):
-            raise AssertionError("closure built for a trivial quandle")
+            raise AssertionError("a decision built a permutation group")
 
         monkeypatch.setattr(search, "closure", refuse)
+        monkeypatch.setattr(quandles, "closure", refuse)
+        carriers = [q for qs in labeled_catalog.values() for q in qs]
+        carriers += [quandle_from_builtin(s) for s in ("dihedral:25", "core:s5")]
+        for q in carriers:
+            for kind in ("RCO", "LCO", "BCO", "RO", "LO"):
+                v = decide(kind, q, "fast")
+                assert v.answer or recheck_certificate(q, v.certificate), (kind, q.table)
         v = decide("RCO", trivial_quandle(12), "fast")
         assert v.answer and v.witness == CyclicOrder(tuple(range(12)))
 
@@ -262,24 +277,13 @@ class TestCertificates:
         assert not recheck_certificate(q, Certificate(EXHAUSTED, {"checked": 3}, wrong_count))
         assert not recheck_certificate(q, Certificate(EXHAUSTED, {}, lco))
 
-    def test_group_certificate_naming_non_bijective_maps_rejected(self):
-        q = trivial_quandle(3)  # every row is constant
-        cert = Certificate(NON_CYCLIC, {"acting": LEFT, "group_order": 1}, "forged")
-        assert recheck_certificate(q, cert) is False
-        cert = Certificate(
-            NON_SEMIREGULAR,
-            {"acting": LEFT, "group_order": 1, "permutation": [0, 1, 2], "fixed_point": 0},
-            "forged",
-        )
-        assert recheck_certificate(q, cert) is False
-
     @pytest.mark.parametrize(
         "q, kind, data",
         [
-            (dihedral_quandle(3), NON_CYCLIC, {}),
-            (dihedral_quandle(3), NON_CYCLIC, {"acting": ["right translations"], "group_order": 6}),
-            (dihedral_quandle(3), NON_CYCLIC, {"acting": "right translations", "group_order": 6.0}),
-            (dihedral_quandle(3), NON_SEMIREGULAR, {"acting": "right translations", "group_order": 6}),
+            (dihedral_quandle(3), "non-cyclic-action", {}),
+            (dihedral_quandle(3), "non-cyclic-action", {"acting": ["right translations"], "group_order": 6}),
+            (dihedral_quandle(3), "non-cyclic-action", {"acting": "right translations", "group_order": 6.0}),
+            (dihedral_quandle(3), "non-semiregular-action", {"acting": "right translations", "group_order": 6}),
             (dihedral_quandle(3), NON_INJECTIVE_LEFT, {"base": 9, "pair": [0, 1], "image": 0}),
             (dihedral_quandle(3), NON_INJECTIVE_LEFT, {"base": 0, "pair": [0], "image": 0}),
             (dihedral_quandle(3), EXHAUSTED, [2]),
@@ -290,6 +294,19 @@ class TestCertificates:
             (THREE_ELT, NON_IDENTITY_LEFT, {"base": True, "point": 0, "image": 1}),
             (THREE_ELT, NON_IDENTITY_LEFT, {"base": 1.0, "point": 0, "image": 1}),
             (THREE_ELT, NON_IDENTITY_LEFT, "base 1, point 0, image 1"),
+            # group-action kinds are retired: even certificates decide used to return are rejected
+            (trivial_quandle(3), "non-cyclic-action", {"acting": "left translations", "group_order": 1}),
+            (
+                trivial_quandle(3),
+                "non-semiregular-action",
+                {"acting": "left translations", "group_order": 1, "permutation": [0, 1, 2], "fixed_point": 0},
+            ),
+            (dihedral_quandle(3), "non-cyclic-action", {"acting": "right translations", "group_order": 6}),
+            (
+                THREE_ELT,
+                "non-semiregular-action",
+                {"acting": "right translations", "group_order": 2, "permutation": [1, 0, 2], "fixed_point": 2},
+            ),
         ],
     )
     def test_malformed_certificates_rejected(self, q, kind, data):
