@@ -1,4 +1,4 @@
-"""Decision procedures and exhaustive enumeration for the five order spaces
+"""Decision procedures and closed-form enumeration for the five order spaces
 of a quandle, one row each in SPACES: RCO, LCO and BCO (circular orderings
 invariant under right, left and both translations) and RO and LO (right and
 left orderings).
@@ -13,11 +13,17 @@ decides both the circle and the chain, and no decision builds a permutation
 group. A negative verdict carries a pointwise certificate naming one
 translation that breaks the order: on the right side (RCO, RO) the first
 right translation that moves a point, on the left side (LCO, BCO, LO) the
-first non-injective left translation, else L_0, which moves 1. The brute
-tier filters the full finite space of arrangements or rankings. The two are
-diffed against each other whenever the carrier is small enough:
-`decide`'s auto strategy runs both up to ORACLE_MAX_N points, and `census`
-checks every fast-path verdict against its own enumeration of the space.
+first non-injective left translation, else L_0, which moves 1.
+
+By the same lemma a finite order space is either its whole ground set of
+arrangements or rankings or empty, so `enumerate_space` is a closed form:
+it takes the fast verdict, builds nothing for a no, and returns the ground
+set unfiltered for a yes. The brute tier filters the ground set with the
+translation tests; `brute_space` lists the space that way and `decide`'s
+brute strategy stops at the first member. It is the independent oracle, and
+only oracle paths run it: `decide`'s auto strategy diffs the two tiers up to
+ORACLE_MAX_N points, and `census` diffs every fast-path verdict against the
+size `brute_space` finds.
 """
 
 from __future__ import annotations
@@ -51,10 +57,15 @@ from .quandles import orbits as quandle_orbits
 
 @dataclass(frozen=True)
 class SearchCaps:
-    """Enumeration limits (the CLI's --max-enum); exceeding one raises ResourceLimit."""
+    """Ground-set limits (the CLI's --max-enum); exceeding one raises ResourceLimit.
 
-    max_circular_n: int = 10  # (n-1)! arrangements enumerated up to this n
-    max_linear_n: int = 8  # n! rankings enumerated up to this n
+    They bound output, not work: `enumerate_space` checks them only when a
+    nonempty space is about to be listed, and an empty space is returned on
+    any carrier. The brute tier checks them before every scan.
+    """
+
+    max_circular_n: int = 10  # (n-1)! arrangements listed up to this n
+    max_linear_n: int = 8  # n! rankings listed up to this n
 
 
 DEFAULT_CAPS = SearchCaps()
@@ -273,7 +284,19 @@ _SIDES = {"right": ("RO", "RCO"), "left": ("LO", "LCO")}
 
 
 def enumerate_space(kind: str, q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
-    """Every member of the named order space, in ground-set order."""
+    """Every member of the named order space, in ground-set order, in closed
+    form: empty on a fast-path no (no ground set is built and the caps are
+    not consulted), else the whole ground set, since a nonempty space is all
+    of it."""
+    space = SPACES[kind]
+    if not space.fast(q).answer:
+        return OrderSpace(kind, ())
+    return OrderSpace(kind, space.ground(q.size, caps))
+
+
+def brute_space(kind: str, q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
+    """The named order space by definition: the ground set filtered by the
+    space's translation test. The oracle for `enumerate_space`."""
     space = SPACES[kind]
     member = space.member
     return OrderSpace(kind, tuple([x for x in space.ground(q.size, caps) if member(x, q)]))
@@ -356,8 +379,8 @@ def decide_left_orderable(q: FiniteQuandle, strategy: str = "auto", caps: Search
     return decide("LO", q, strategy, caps)
 
 
-# By CLI property. The census and the CLI dispatch through these same dicts,
-# so rebinding an entry reaches both.
+# By CLI property. The CLI dispatches through both dicts and the census
+# through DECIDERS, so rebinding a decider reaches both.
 DECIDERS = {
     "right-circular": decide_right_circular,
     "left-circular": decide_left_circular,
@@ -381,18 +404,38 @@ def _points(q: FiniteQuandle, values) -> bool:
     )
 
 
-def recheck_certificate(q: FiniteQuandle, cert: Certificate) -> bool:
-    """Re-validate a refutation certificate directly against the quandle.
+# the spaces a pointwise certificate kind refutes, each with the least
+# carrier size on which it does: a translation that moves a point or merges
+# two breaks every circle of three or more points and every chain of two or more
+_REFUTES = {
+    NON_IDENTITY_RIGHT: {"RCO": 3, "RO": 2},
+    NON_INJECTIVE_LEFT: {"LCO": 3, "BCO": 3, "LO": 2},
+    NON_IDENTITY_LEFT: {"LCO": 3, "BCO": 3, "LO": 2},
+}
 
-    Pointwise reasons are checked against the table; an exhaustive-search
-    certificate is accepted only when the scan of the space its detail
-    names, redone under the default caps, refutes the space over exactly the
-    stated number of candidates. An unknown kind and malformed data (not a
-    dict, a missing key, an index that is not a plain int naming a point)
-    are rejected, never raised on.
+
+def recheck_certificate(q: FiniteQuandle, cert: Certificate, kind: str) -> bool:
+    """Re-validate a certificate as a refutation of the named space of q.
+
+    A pointwise reason is accepted only for the spaces its fact refutes on a
+    carrier of this size, and is then checked against the table; an
+    exhaustive-search certificate only when its detail names this space and
+    the scan, redone under the default caps, refutes the space over exactly
+    the stated number of candidates. An unknown certificate kind and
+    malformed data (not a dict, a missing key, an index that is not a plain
+    int naming a point) are rejected, never raised on.
     """
+    space = SPACES[kind]
     data = cert.data
     if not isinstance(data, dict):
+        return False
+    if cert.kind == EXHAUSTED:
+        return (
+            cert.detail == space.exhausted.format(data.get("checked"))
+            and _brute(kind, q, DEFAULT_CAPS).certificate == cert
+        )
+    least = _REFUTES.get(cert.kind, {}).get(kind)
+    if least is None or q.size < least:
         return False
     if cert.kind == NON_INJECTIVE_LEFT:
         s, pair, image = data.get("base"), data.get("pair"), data.get("image")
@@ -400,17 +443,11 @@ def recheck_certificate(q: FiniteQuandle, cert: Certificate) -> bool:
             return False
         t1, t2 = pair
         return t1 != t2 and q.op(s, t1) == q.op(s, t2) == image
-    if cert.kind in (NON_IDENTITY_RIGHT, NON_IDENTITY_LEFT):
-        s, t, image = data.get("base"), data.get("point"), data.get("image")
-        if not _points(q, [s, t, image]):
-            return False
-        moved = q.op(t, s) if cert.kind == NON_IDENTITY_RIGHT else q.op(s, t)
-        return moved == image != t
-    if cert.kind == EXHAUSTED:
-        for kind, space in SPACES.items():
-            if cert.detail == space.exhausted.format(data.get("checked")):
-                return _brute(kind, q, DEFAULT_CAPS).certificate == cert
-    return False
+    s, t, image = data.get("base"), data.get("point"), data.get("image")
+    if not _points(q, [s, t, image]):
+        return False
+    moved = q.op(t, s) if cert.kind == NON_IDENTITY_RIGHT else q.op(s, t)
+    return moved == image != t
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +671,8 @@ def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
     numbered in that order, so reports are stable under relabeling. The
     space sizes record how large the five finite spaces actually
     come out, not just whether they are empty. Each space is scanned once:
-    its flag is the fast path's answer, diffed against the enumeration (the
-    brute tier) on every class.
+    its size is the brute tier's (`brute_space`), and its flag is the fast
+    path's answer, diffed against that size on every class.
     """
     records = []
     for n in range(1, max_n + 1):
@@ -645,7 +682,7 @@ def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
             q = FiniteQuandle(table)
             flags, sizes = {}, {}
             for kind, s in SPACES.items():
-                size = len(ENUMERATORS[s.prop](q, caps))
+                size = len(brute_space(kind, q, caps))
                 flag = DECIDERS[s.prop](q, strategy="fast", caps=caps).answer
                 _agree(kind, flag, size > 0)
                 flags[s.flag] = flag

@@ -29,9 +29,7 @@ from quorder import (
     embedding_image,
     enumerate_bicircular,
     enumerate_lco,
-    enumerate_left_orderings,
     enumerate_rco,
-    enumerate_right_orderings,
     enumerate_triple_functions,
     generate_all_quandles,
     inner_group,
@@ -44,6 +42,7 @@ from quorder import (
     trivial_quandle,
 )
 from quorder.cli import RunConfig, parse_input, run
+from quorder.search import brute_space
 
 
 class Budget:
@@ -72,8 +71,8 @@ def test_criterion_01_three_element_quandle_has_no_circular_orderings():
         vr = decide_right_circular(q)
         vl = decide_left_circular(q)
         assert not vr.answer and not vl.answer
-        assert recheck_certificate(q, vr.certificate)
-        assert recheck_certificate(q, vl.certificate)
+        assert recheck_certificate(q, vr.certificate, "RCO")
+        assert recheck_certificate(q, vl.certificate, "LCO")
 
 
 def test_criterion_02_dihedral_z3_has_no_circular_orderings():
@@ -84,7 +83,7 @@ def test_criterion_02_dihedral_z3_has_no_circular_orderings():
         v = decide_right_circular(q)
         assert not v.answer
         assert v.certificate.kind == "non-identity-right-translation"
-        assert recheck_certificate(q, v.certificate)
+        assert recheck_certificate(q, v.certificate, "RCO")
         assert inner_group(q).order == 6
 
 
@@ -109,15 +108,16 @@ def test_criterion_04_conjugation_quandles_are_never_left_circular():
 
 def test_criterion_05_ordering_images_are_circular_orderings():
     with Budget("5 ordering closure sweep", 30.0):
+        # the brute filter, so the lemma is not checked against the closed form
         total = 0
         for n in range(1, 5):
             for q in generate_all_quandles(n):
-                rco = set(enumerate_rco(q).members)
-                lco = set(enumerate_lco(q).members)
-                for o in enumerate_right_orderings(q):
+                rco = set(brute_space("RCO", q).members)
+                lco = set(brute_space("LCO", q).members)
+                for o in brute_space("RO", q):
                     assert circular_from_linear(o) in rco, (q.table, o.ranking)
                     total += 1
-                for o in enumerate_left_orderings(q):
+                for o in brute_space("LO", q):
                     assert circular_from_linear(o) in lco, (q.table, o.ranking)
                     total += 1
         assert total > 0
@@ -145,7 +145,7 @@ def test_criterion_07_embedding_image_fibers():
         assert report.domain_size == 6
         assert report.image_size == 2
         assert report.fiber_sizes() == (3, 3)
-        rco = set(enumerate_rco(q).members)
+        rco = set(brute_space("RCO", q).members)
         assert set(report.image) <= rco
 
 
@@ -153,15 +153,15 @@ def test_criterion_08_fast_decisions_equal_brute_force_up_to_order_5():
     with Budget("8 oracle equivalence order <= 5", 300.0):
         catalog = {n: generate_all_quandles(n, up_to_iso=True) for n in range(1, 6)}
         assert [len(catalog[n]) for n in range(1, 6)] == [1, 1, 3, 7, 22]
-        deciders = (
-            decide_right_circular,
-            decide_left_circular,
-            decide_right_orderable,
-            decide_left_orderable,
-        )
+        deciders = {
+            decide_right_circular: "RCO",
+            decide_left_circular: "LCO",
+            decide_right_orderable: "RO",
+            decide_left_orderable: "LO",
+        }
         for n, classes in catalog.items():
             for q in classes:
-                for decide in deciders:
+                for decide, kind in deciders.items():
                     fast = decide(q, strategy="fast")
                     brute = decide(q, strategy="brute")
                     assert fast.answer == brute.answer, (n, q.table, decide.__name__)
@@ -173,7 +173,7 @@ def test_criterion_08_fast_decisions_equal_brute_force_up_to_order_5():
                         if check is not None:
                             assert check(fast.witness, q)
                     else:
-                        assert recheck_certificate(q, fast.certificate)
+                        assert recheck_certificate(q, fast.certificate, kind)
 
 
 def _literal_scan_order_4():

@@ -209,7 +209,7 @@ class TestRun:
         verdict = report["verdict"]
         assert verdict["answer"] == "no"
         cert = search.Certificate(**verdict["certificate"])
-        assert search.recheck_certificate(quandle_from_builtin("core:s5"), cert)
+        assert search.recheck_certificate(quandle_from_builtin("core:s5"), cert, "RCO")
 
     def test_dihedral_25_bicircular_certificate(self):
         report, status = run(
@@ -375,6 +375,16 @@ class TestMain:
             ]
         )
         assert status == 3
+
+    def test_caps_bound_output_not_work(self, capsys):
+        # a nonempty space past the cap is refused ...
+        assert main(["enumerate", "--builtin", "trivial:11", "--property", "right-circular"]) == 3
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "resource-limit"
+        # ... and an empty one is reported on any carrier, under any cap
+        argv = ["enumerate", "--builtin", "dihedral:25", "--property", "left-order", "--max-enum", "3"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["kind"], report["count"], report["members"]) == ("LO", 0, [])
 
     @pytest.mark.parametrize(
         "argv",

@@ -56,8 +56,11 @@ from quorder.search import (
     NON_IDENTITY_LEFT,
     NON_IDENTITY_RIGHT,
     NON_INJECTIVE_LEFT,
+    SPACES,
     Certificate,
+    brute_space,
     decide,
+    enumerate_space,
 )
 
 THREE_ELT = FiniteQuandle([[0, 0, 1], [1, 1, 0], [2, 2, 2]])
@@ -123,6 +126,22 @@ class TestEnumerateSpaces:
         assert enumerate_right_orderings(q).members == (LinearOrder((0,)),)
         assert enumerate_left_orderings(q).members == (LinearOrder((0,)),)
 
+    def test_closed_form_equals_brute_filter_up_to_4(self, labeled_catalog):
+        for quandles in labeled_catalog.values():
+            for q in quandles:
+                for kind in SPACES:
+                    assert enumerate_space(kind, q) == brute_space(kind, q), (kind, q.table)
+
+    @pytest.mark.parametrize("kind, q", [("LCO", trivial_quandle(10)), ("RO", dihedral_quandle(25))])
+    def test_empty_space_builds_no_ground_set(self, monkeypatch, kind, q):
+        def refuse(*args):
+            raise AssertionError("an empty space built its ground set")
+
+        monkeypatch.setattr(search, "enumerate_circular_orderings", refuse)
+        monkeypatch.setattr(search, "enumerate_rankings", refuse)
+        # the caps bound output, so even the smallest ones allow an empty answer
+        assert enumerate_space(kind, q, SearchCaps(1, 1)) == search.OrderSpace(kind, ())
+
 
 class TestDecisions:
     def test_trivial_3(self):
@@ -139,7 +158,7 @@ class TestDecisions:
         assert not vr.answer
         assert vr.certificate.kind == NON_IDENTITY_RIGHT
         assert vr.certificate.data == {"base": 0, "point": 1, "image": 2}
-        for decide_side in (decide_left_circular, decide_bicircular):
+        for decide_side, kind in ((decide_left_circular, "LCO"), (decide_bicircular, "BCO")):
             v = decide_side(q)
             assert not v.answer
             assert v.certificate == Certificate(
@@ -148,7 +167,7 @@ class TestDecisions:
                 "left translation by 0 moves 1 to 2; it fixes its base point, and an "
                 "order-preserving bijection of a finite circle with a fixed point is the identity",
             )
-            assert recheck_certificate(q, v.certificate)
+            assert recheck_certificate(q, v.certificate, kind)
 
     def test_three_element_quandle(self):
         vr = decide_right_circular(THREE_ELT)
@@ -159,7 +178,7 @@ class TestDecisions:
             "right translation by 2 moves 0 to 1; it fixes its base point, and an "
             "order-preserving bijection of a finite circle with a fixed point is the identity",
         )
-        assert recheck_certificate(THREE_ELT, vr.certificate)
+        assert recheck_certificate(THREE_ELT, vr.certificate, "RCO")
         vl = decide_left_circular(THREE_ELT)
         assert vl.certificate.kind == NON_INJECTIVE_LEFT
 
@@ -168,7 +187,7 @@ class TestDecisions:
         v = decide_right_circular(q)
         assert not v.answer
         assert v.certificate.kind == NON_IDENTITY_RIGHT
-        assert recheck_certificate(q, v.certificate)
+        assert recheck_certificate(q, v.certificate, "RCO")
 
     def test_tiny_carriers_are_bicircular(self):
         for n in (1, 2):
@@ -199,7 +218,7 @@ class TestDecisions:
         for q in carriers:
             for kind in ("RCO", "LCO", "BCO", "RO", "LO"):
                 v = decide(kind, q, "fast")
-                assert v.answer or recheck_certificate(q, v.certificate), (kind, q.table)
+                assert v.answer or recheck_certificate(q, v.certificate, kind), (kind, q.table)
         v = decide("RCO", trivial_quandle(12), "fast")
         assert v.answer and v.witness == CyclicOrder(tuple(range(12)))
 
@@ -245,37 +264,67 @@ class TestCertificates:
     def test_certificates_recheck(self, labeled_catalog):
         for n, quandles in labeled_catalog.items():
             for q in quandles:
-                for decide in (
-                    decide_right_circular,
-                    decide_left_circular,
-                    decide_bicircular,
-                    decide_right_orderable,
-                    decide_left_orderable,
-                ):
-                    v = decide(q)
+                for kind in SPACES:
+                    v = decide(kind, q)
                     if v.answer:
                         assert v.certificate is None
                     else:
-                        assert recheck_certificate(q, v.certificate)
+                        assert recheck_certificate(q, v.certificate, kind)
+
+    def test_certificates_back_only_their_own_side_on_classes_up_to_5(self, class_catalog):
+        classes = [q for n in range(1, 6) for q in class_catalog[n]]
+        assert len(classes) == 34
+        sides = ({"RCO", "RO"}, {"LCO", "BCO", "LO"})
+        for q in classes:
+            for kind in SPACES:
+                v = decide(kind, q)
+                if v.answer:
+                    continue
+                assert recheck_certificate(q, v.certificate, kind), (kind, q.table)
+                other = next(side for side in sides if kind not in side)
+                for wrong in other:
+                    assert not recheck_certificate(q, v.certificate, wrong), (kind, wrong, q.table)
+
+    @pytest.mark.parametrize(
+        "kind, data",
+        [
+            (NON_IDENTITY_LEFT, {"base": 0, "point": 1, "image": 0}),
+            (NON_INJECTIVE_LEFT, {"base": 0, "pair": [0, 1], "image": 0}),
+        ],
+    )
+    def test_pointwise_certificate_needs_three_points_on_a_circle(self, kind, data):
+        # both facts hold on trivial:2, whose LCO and BCO are nonempty
+        q = trivial_quandle(2)
+        assert decide("LCO", q).answer and decide("BCO", q).answer
+        assert not recheck_certificate(q, Certificate(kind, data, ""), "LCO")
+        assert not recheck_certificate(q, Certificate(kind, data, ""), "BCO")
+        # two points already make a chain it breaks
+        assert not decide("LO", q).answer
+        assert recheck_certificate(q, Certificate(kind, data, ""), "LO")
 
     def test_brute_certificates_recheck(self):
         q = dihedral_quandle(3)
         for kind in ("RCO", "LCO", "BCO", "RO", "LO"):
             v = decide(kind, q, strategy="brute")
             assert v.certificate.kind == EXHAUSTED
-            assert recheck_certificate(q, v.certificate), kind
+            assert recheck_certificate(q, v.certificate, kind), kind
+            others = [k for k in SPACES if k != kind]
+            assert not any(recheck_certificate(q, v.certificate, k) for k in others), kind
 
     def test_forged_exhaustive_certificate_rejected(self):
         q = trivial_quandle(3)  # RCO has 2 members
         rco = "none of the 2 circular orderings is right-invariant"
         lco = "none of the 2 circular orderings is left-invariant"
-        assert not recheck_certificate(q, Certificate(EXHAUSTED, {"checked": 1}, "forged"))
-        assert not recheck_certificate(q, Certificate(EXHAUSTED, {"checked": 2}, rco))
+        assert not recheck_certificate(q, Certificate(EXHAUSTED, {"checked": 1}, "forged"), "RCO")
+        assert not recheck_certificate(q, Certificate(EXHAUSTED, {"checked": 2}, rco), "RCO")
         # LCO of trivial:3 is empty, but the count must be the one scanned
-        assert recheck_certificate(q, Certificate(EXHAUSTED, {"checked": 2}, lco))
+        assert recheck_certificate(q, Certificate(EXHAUSTED, {"checked": 2}, lco), "LCO")
+        # and the detail must name the space being refuted
+        assert not recheck_certificate(q, Certificate(EXHAUSTED, {"checked": 2}, lco), "BCO")
+        assert not recheck_certificate(q, Certificate(EXHAUSTED, {"checked": 2}, rco), "BCO")
         wrong_count = lco.replace("2", "3")
-        assert not recheck_certificate(q, Certificate(EXHAUSTED, {"checked": 3}, wrong_count))
-        assert not recheck_certificate(q, Certificate(EXHAUSTED, {}, lco))
+        assert not recheck_certificate(q, Certificate(EXHAUSTED, {"checked": 3}, wrong_count), "LCO")
+        assert not recheck_certificate(q, Certificate(EXHAUSTED, {}, lco), "LCO")
 
     @pytest.mark.parametrize(
         "q, kind, data",
@@ -311,7 +360,9 @@ class TestCertificates:
     )
     def test_malformed_certificates_rejected(self, q, kind, data):
         detail = "none of the 2 circular orderings is right-invariant" if kind == EXHAUSTED else ""
-        assert recheck_certificate(q, Certificate(kind, data, detail)) is False
+        # the space a well-formed certificate of this kind would refute
+        space = "LCO" if kind in (NON_INJECTIVE_LEFT, NON_IDENTITY_LEFT) else "RCO"
+        assert recheck_certificate(q, Certificate(kind, data, detail), space) is False
 
     def test_witnesses_pass_invariance(self, labeled_catalog):
         for n, quandles in labeled_catalog.items():
@@ -583,24 +634,27 @@ class TestOracleEquivalence:
 
 
 class TestOrderClosureProperties:
+    """Lemmas about the spaces, checked on the brute filter rather than on
+    the closed form that rests on them."""
+
     def test_ordering_images_stay_invariant(self, labeled_catalog):
         for n, quandles in labeled_catalog.items():
             for q in quandles:
-                rco = set(enumerate_rco(q).members)
-                lco = set(enumerate_lco(q).members)
-                for o in enumerate_right_orderings(q):
+                rco = set(brute_space("RCO", q).members)
+                lco = set(brute_space("LCO", q).members)
+                for o in brute_space("RO", q):
                     assert circular_from_linear(o) in rco
-                for o in enumerate_left_orderings(q):
+                for o in brute_space("LO", q):
                     assert circular_from_linear(o) in lco
 
     def test_monotone_consistency(self, labeled_catalog):
         # empty RCO forces empty RO (and dually)
         for n, quandles in labeled_catalog.items():
             for q in quandles:
-                if len(enumerate_rco(q)) == 0:
-                    assert len(enumerate_right_orderings(q)) == 0
-                if len(enumerate_lco(q)) == 0:
-                    assert len(enumerate_left_orderings(q)) == 0
+                if len(brute_space("RCO", q)) == 0:
+                    assert len(brute_space("RO", q)) == 0
+                if len(brute_space("LCO", q)) == 0:
+                    assert len(brute_space("LO", q)) == 0
 
     def test_conj_quandles_never_left_circular(self):
         groups = [
@@ -611,7 +665,7 @@ class TestOrderClosureProperties:
             symmetric_group(3),
         ]
         for g in groups:
-            assert len(enumerate_lco(conj_quandle(g))) == 0
+            assert len(brute_space("LCO", conj_quandle(g))) == 0
 
 
 class TestCensus:
