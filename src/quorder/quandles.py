@@ -24,7 +24,6 @@ from .groups import (
     identity_perm,
     invert,
 )
-from .groups import orbits as group_orbits
 from .radix import decode_mixed, encode_mixed
 
 
@@ -210,6 +209,27 @@ def is_trivial_quandle(q: FiniteQuandle) -> bool:
 
 
 def orbits(q: FiniteQuandle) -> tuple[tuple[int, ...], ...]:
-    """Orbit decomposition of the carrier under the inner group."""
-    return group_orbits(inner_group(q))
+    """Orbit decomposition of the carrier under the inner group, each orbit
+    sorted, ordered by least point.
 
+    The inner group is generated by the right translations, so t and R_s(t)
+    share an orbit for every s, and the orbits are the classes these links
+    generate: a union-find over the n^2 column entries, which builds no
+    group. The points are then read off in increasing order, which sorts
+    each orbit and lists the orbits by least point.
+    """
+    parent = list(range(q.size))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for col in q.columns:
+        for t, image in enumerate(col):
+            parent[root(t)] = root(image)
+    classes: dict[int, list[int]] = {}
+    for x in range(q.size):
+        classes.setdefault(root(x), []).append(x)
+    return tuple(tuple(members) for members in classes.values())

@@ -23,7 +23,7 @@ translation tests; `brute_space` lists the space that way and `decide`'s
 brute strategy stops at the first member. It is the independent oracle, and
 only oracle paths run it: `decide`'s auto strategy diffs the two tiers up to
 ORACLE_MAX_N points, and `census` diffs every fast-path verdict against the
-size `brute_space` finds.
+size the same filter finds on a ground set built once per order.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from .errors import (
     InternalInconsistency,
     ResourceLimit,
 )
-from .groups import Perm, invert
+from .groups import Perm, cycle_type, invert
 
-# uncalled here: perfbench/tracing.py wraps these names (ROADMAP item 3 removes them)
+# uncalled here: perfbench/tracing.py wraps these names (ROADMAP item 2 removes them)
 from .groups import closure, is_cyclic, is_semiregular  # noqa: F401
 from .quandles import FiniteQuandle, is_involutory, is_latin, is_trivial_quandle
 from .quandles import orbits as quandle_orbits
@@ -294,12 +294,17 @@ def enumerate_space(kind: str, q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS
     return OrderSpace(kind, space.ground(q.size, caps))
 
 
+def _filter(space: _Space, q: FiniteQuandle, ground: tuple) -> tuple:
+    """The members of a ground set that pass the space's translation test."""
+    member = space.member
+    return tuple([x for x in ground if member(x, q)])
+
+
 def brute_space(kind: str, q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
     """The named order space by definition: the ground set filtered by the
     space's translation test. The oracle for `enumerate_space`."""
     space = SPACES[kind]
-    member = space.member
-    return OrderSpace(kind, tuple([x for x in space.ground(q.size, caps) if member(x, q)]))
+    return OrderSpace(kind, _filter(space, q, space.ground(q.size, caps)))
 
 
 def _brute(kind: str, q: FiniteQuandle, caps: SearchCaps) -> Verdict:
@@ -589,40 +594,46 @@ def are_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
     return extend(0)
 
 
-def canonical_form(q: FiniteQuandle) -> tuple[tuple[int, ...], ...]:
-    """Lexicographically least relabeling of the table; equal across a class."""
-    n = q.size
-    t = q.table
+def _least_relabelling(table: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Lexicographically least relabelling of a square table over all n!
+    relabellings p, which send entry (i, j) = v to (p[i], p[j]) = p[v].
+
+    Each candidate is built row by row and dropped at the first row that
+    exceeds the same row of the least table so far: the rows after it cannot
+    make it smaller.
+    """
+    n = len(table)
     best = None
     for p in permutations(range(n)):
         inv = invert(p)
-        cand = tuple(tuple(p[t[inv[i]][inv[j]]] for j in range(n)) for i in range(n))
-        if best is None or cand < best:
-            best = cand
+        rows = []
+        tied = best is not None  # every row so far equals best's
+        for i in range(n):
+            src = table[inv[i]]
+            row = tuple([p[src[k]] for k in inv])
+            if tied:
+                if row > best[i]:
+                    break
+                tied = row == best[i]
+            rows.append(row)
+        else:
+            best = tuple(rows)
     return best
 
 
-def generate_all_quandles(n: int, up_to_iso: bool = False) -> tuple[FiniteQuandle, ...]:
-    """Every quandle of order n, by column-wise backtracking.
+def canonical_form(q: FiniteQuandle) -> tuple[tuple[int, ...], ...]:
+    """Lexicographically least relabeling of the table; equal across a class."""
+    return _least_relabelling(q.table)
 
-    Columns are the right-translation permutations c_0, ..., c_{n-1}; column
-    j must fix j, and self-distributivity pins column m = c_k[j] to the
-    conjugate c_k . c_j . c_k^-1. That is tested pointwise, as
-    c_m[c_k[x]] == c_k[c_j[x]] for every x, as soon as all three columns are
-    assigned. When column f is assigned, only the triples (k, j, m) naming f
-    are tested: every other triple with all indices <= f was tested when its
-    own last column was assigned, against the same columns, so the search
-    keeps exactly the branches a test of all triples would. (k = j is never
-    tested: then m = k and both sides are c_k . c_k.) Output order follows
-    the lexicographic candidate order, so it is deterministic.
-    """
-    if n > MAX_GENERATE_N:
-        raise ResourceLimit("quandle generation", n, MAX_GENERATE_N)
-    if n < 1:
-        raise ValueError("carrier must be nonempty")
-    candidates = {
-        j: [p for p in permutations(range(n)) if p[j] == j] for j in range(n)
-    }
+
+def _transpose(table) -> tuple[tuple[int, ...], ...]:
+    return tuple(zip(*table))
+
+
+def _column_search(candidates: list[list[Perm]]) -> list[tuple[Perm, ...]]:
+    """Every assignment of one candidate to each column that satisfies
+    self-distributivity, in lexicographic candidate order."""
+    n = len(candidates)
     cols: list[Perm | None] = [None] * n
     found: list[tuple[Perm, ...]] = []
 
@@ -650,17 +661,57 @@ def generate_all_quandles(n: int, up_to_iso: bool = False) -> tuple[FiniteQuandl
         cols[f] = None
 
     descend(0)
-    quandles = [
-        FiniteQuandle(tuple(tuple(cs[j][i] for j in range(n)) for i in range(n)))
-        for cs in found
-    ]
+    return found
+
+
+def generate_all_quandles(n: int, up_to_iso: bool = False) -> tuple[FiniteQuandle, ...]:
+    """Every quandle of order n, by column-wise backtracking.
+
+    Columns are the right-translation permutations c_0, ..., c_{n-1}; column
+    j must fix j, and self-distributivity pins column m = c_k[j] to the
+    conjugate c_k . c_j . c_k^-1. That is tested pointwise, as
+    c_m[c_k[x]] == c_k[c_j[x]] for every x, as soon as all three columns are
+    assigned. When column f is assigned, only the triples (k, j, m) naming f
+    are tested: every other triple with all indices <= f was tested when its
+    own last column was assigned, against the same columns, so the search
+    keeps exactly the branches a test of all triples would. (k = j is never
+    tested: then m = k and both sides are c_k . c_k.) The labelled output
+    follows the lexicographic order of the column tuples (c_0, ..., c_{n-1}).
+
+    With up_to_iso the search is orderly. Column 0 takes one fixed
+    permutation of each cycle type, and every later column only cycle types
+    no greater than column 0's (sorted cycle lengths, compared as tuples).
+    No class is lost: relabel a point whose right translation has the
+    greatest cycle type to 0, then relabel the other points so that R_0
+    becomes the fixed permutation of its type, which a relabelling fixing 0
+    can do because it conjugates R_0 by a permutation of 1..n-1. The tables
+    found are deduped with `are_isomorphic`. Each class is then returned as
+    the least relabelling of its column tuple, and the classes in that
+    order. A relabelling of a table relabels its column tuple the same way,
+    and every relabelling of a quandle is in the labelled output, so this
+    is the class's first labelled member, and the order is the one in which
+    the labelled output first meets each class.
+    """
+    if n > MAX_GENERATE_N:
+        raise ResourceLimit("quandle generation", n, MAX_GENERATE_N)
+    if n < 1:
+        raise ValueError("carrier must be nonempty")
+    candidates = [[p for p in permutations(range(n)) if p[j] == j] for j in range(n)]
     if not up_to_iso:
-        return tuple(quandles)
+        return tuple(FiniteQuandle(_transpose(cols)) for cols in _column_search(candidates))
+    typed = [[(cycle_type(p), p) for p in column] for column in candidates]
+    firsts: dict[tuple[int, ...], Perm] = {}
+    for ctype, p in typed[0]:
+        firsts.setdefault(ctype, p)
     reps: list[FiniteQuandle] = []
-    for q in quandles:
-        if not any(are_isomorphic(q, r) for r in reps):
-            reps.append(q)
-    return tuple(reps)
+    for ctype, first in firsts.items():
+        bounded = [[first]] + [[p for t, p in column if t <= ctype] for column in typed[1:]]
+        for cols in _column_search(bounded):
+            q = FiniteQuandle(_transpose(cols))
+            if not any(are_isomorphic(q, r) for r in reps):
+                reps.append(q)
+    least = sorted(_least_relabelling(q.columns) for q in reps)
+    return tuple(FiniteQuandle(_transpose(cols)) for cols in least)
 
 
 def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
@@ -670,19 +721,26 @@ def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
     Classes are keyed by their canonical (lexicographically least) table and
     numbered in that order, so reports are stable under relabeling. The
     space sizes record how large the five finite spaces actually
-    come out, not just whether they are empty. Each space is scanned once:
-    its size is the brute tier's (`brute_space`), and its flag is the fast
-    path's answer, diffed against that size on every class.
+    come out, not just whether they are empty. Each order's ground sets (the
+    arrangements and the rankings) are built once, after its classes are
+    generated, and shared by every class. Each space is scanned once per
+    class: its size is the brute tier's filter of the ground set (the one
+    `brute_space` applies), and its flag is the fast path's answer, diffed
+    against that size on every class.
     """
     records = []
     for n in range(1, max_n + 1):
         reps = generate_all_quandles(n, up_to_iso=True)
         canon = sorted(canonical_form(q) for q in reps)
+        grounds: dict[Callable, tuple] = {}
+        for s in SPACES.values():
+            if s.ground not in grounds:
+                grounds[s.ground] = s.ground(n, caps)
         for class_id, table in enumerate(canon):
             q = FiniteQuandle(table)
             flags, sizes = {}, {}
             for kind, s in SPACES.items():
-                size = len(brute_space(kind, q, caps))
+                size = len(_filter(s, q, grounds[s.ground]))
                 flag = DECIDERS[s.prop](q, strategy="fast", caps=caps).answer
                 _agree(kind, flag, size > 0)
                 flags[s.flag] = flag

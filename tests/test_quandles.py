@@ -25,7 +25,10 @@ from quorder import (
     symmetric_group,
     trivial_quandle,
 )
+from quorder import quandles
+from quorder.cli import quandle_from_builtin
 from quorder.groups import identity_perm, is_cyclic
+from quorder.groups import orbits as group_orbits
 
 # the order-3 quandle with orbit decomposition {0,1} | {2}, written 0-indexed
 THREE_ELT = [[0, 0, 1], [1, 1, 0], [2, 2, 2]]
@@ -220,6 +223,22 @@ class TestPredicates:
         q = three_element_quandle()
         assert stabilizer_elements(q) == (0, 1)
         assert not is_trivial_quandle(q)
+
+    def test_orbits_match_the_inner_group(self, labeled_catalog, class_catalog):
+        builtins = [quandle_from_builtin(spec) for spec in ("conj:s4", "core:s4", "dihedral:25", "core:z3xz3")]
+        cases = [q for n in (1, 2, 3, 4) for q in labeled_catalog[n]] + list(class_catalog[5]) + builtins
+        for q in cases:
+            assert orbits(q) == group_orbits(inner_group(q)), q.table
+
+    def test_orbits_build_no_group(self, monkeypatch):
+        def no_closure(*args):
+            raise AssertionError("orbits built a group")
+
+        q = quandle_from_builtin("conj:s4")
+        expected = orbits(q)
+        monkeypatch.setattr(quandles, "closure", no_closure)
+        assert orbits(q) == expected
+        assert sorted(len(o) for o in expected) == [1, 3, 6, 6, 8]
 
     def test_latin_iff_semi_latin(self, labeled_catalog):
         # injective self-maps of a finite carrier are bijective

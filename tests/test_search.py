@@ -473,6 +473,22 @@ def _isomorphic_by_scan(q1, q2):
     )
 
 
+def _canonical_by_scan(q):
+    """Definitional canonical form: build every one of the n! relabellings
+    in full and keep the least."""
+    n = q.size
+    t = q.table
+    best = None
+    for p in permutations(range(n)):
+        inv = [0] * n
+        for i, x in enumerate(p):
+            inv[x] = i
+        cand = tuple(tuple(p[t[inv[i]][inv[j]]] for j in range(n)) for i in range(n))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
 # Class representatives of generate_all_quandles(n, up_to_iso=True), in
 # output order; rows separated by "/".
 CLASS_REPRESENTATIVES = {
@@ -565,6 +581,41 @@ class TestCatalog:
         for n in range(1, 6):
             for q in class_catalog[n]:
                 assert dual_quandle(dual_quandle(q)).table == q.table
+
+
+class TestOrderlyGeneration:
+    """The orderly up_to_iso search against the labelled one."""
+
+    @pytest.fixture(scope="class")
+    def labelled(self, labeled_catalog):
+        return {**labeled_catalog, 5: generate_all_quandles(5)}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_each_labelled_quandle_has_exactly_one_representative(self, labelled, class_catalog, n):
+        isomorphic = _isomorphic_by_scan if n <= 4 else are_isomorphic
+        reps = class_catalog[n]
+        for q in labelled[n]:
+            assert sum(isomorphic(q, r) for r in reps) == 1, q.table
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_representatives_are_first_labelled_members_in_order(self, labelled, class_catalog, n):
+        firsts = []
+        for q in labelled[n]:
+            if not any(are_isomorphic(q, f) for f in firsts):
+                firsts.append(q)
+        assert [q.table for q in class_catalog[n]] == [q.table for q in firsts]
+
+    def test_canonical_form_equals_full_scan_on_labelled_tables(self, labeled_catalog):
+        for n in (1, 2, 3, 4):
+            for q in labeled_catalog[n]:
+                assert canonical_form(q) == _canonical_by_scan(q), q.table
+
+    def test_canonical_form_equals_full_scan_on_relabelled_classes(self, class_catalog):
+        sigmas = [(0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (1, 2, 3, 4, 0), (2, 0, 4, 1, 3)]
+        for q in class_catalog[5]:
+            for sigma in sigmas:
+                relabelled = _relabel(q, sigma)
+                assert canonical_form(relabelled) == _canonical_by_scan(relabelled), (q.table, sigma)
 
 
 class TestIsomorphism:
@@ -720,6 +771,22 @@ class TestCensus:
 
         monkeypatch.setattr(search, "_brute", no_rescan)
         assert census(3) == expected
+
+    def test_census_builds_each_ground_set_once_per_order(self, monkeypatch):
+        expected = census(4)
+        built = []
+        for name in ("enumerate_circular_orderings", "enumerate_rankings"):
+            original = getattr(search, name)
+
+            def counted(n, caps, original=original, name=name):
+                built.append((name, n))
+                return original(n, caps)
+
+            monkeypatch.setattr(search, name, counted)
+        assert census(4) == expected
+        assert sorted(built) == sorted(
+            (name, n) for name in ("enumerate_circular_orderings", "enumerate_rankings") for n in (1, 2, 3, 4)
+        )
 
     def test_census_diffs_fast_path_against_enumeration(self, monkeypatch):
         wrong = Verdict(False, certificate=Certificate(EXHAUSTED, {"checked": 0}, "wrong"))
