@@ -15,13 +15,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from itertools import product
 
-from .corders import (
-    CyclicOrder,
-    LinearOrder,
-    circular_from_linear,
-    cyclic_to_function,
-)
+from .corders import CyclicOrder, LinearOrder, circular_from_linear
 from .errors import (
     DegenerateTriple,
     InternalInconsistency,
@@ -234,7 +230,7 @@ def _check_trivial_two_example(caps: SearchCaps) -> dict:
     zero_ok = (
         len(bco) == 1
         and bco.members[0] == CyclicOrder((0, 1))
-        and all(v == 0 for v in cyclic_to_function(bco.members[0]).values)
+        and all(bco.members[0].evaluate(*t) == 0 for t in product(range(2), repeat=3))
     )
     return {
         "name": "example:trivial-2-bicircular",

@@ -51,18 +51,6 @@ class NotAQuandle(ValidationError):
         super().__init__(f"not a quandle: {axiom} fails at {witness}")
 
 
-class NotACircularOrdering(ValidationError):
-    """A raw triple function failed circular-ordering validation."""
-
-    def __init__(self, violation):
-        self.violation = violation
-        super().__init__(f"not a circular ordering: {violation}")
-
-
-class SmallCarrier(QuorderError):
-    """Operation needs at least three carrier elements."""
-
-
 class DegenerateTriple(QuorderError):
     """A subbasis triple must have three pairwise distinct entries."""
 

@@ -22,7 +22,6 @@ from .groups import (
     compose,
     cycle_type,
     identity_perm,
-    invert,
 )
 from .radix import decode_mixed, encode_mixed
 
@@ -165,14 +164,6 @@ def product_quandle(qs: Sequence[FiniteQuandle]) -> FiniteQuandle:
     return FiniteQuandle(tuple(table))
 
 
-def dual_quandle(q: FiniteQuandle) -> FiniteQuandle:
-    """The quandle of the dual operation: column j becomes the inverse of R_j."""
-    n = q.size
-    cols = [invert(col) for col in q.columns]
-    table = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return FiniteQuandle(table)
-
-
 # ---------------------------------------------------------------------------
 # the inner group
 
@@ -198,14 +189,10 @@ def is_involutory(q: FiniteQuandle) -> bool:
     return all(compose(col, col) == ident for col in q.columns)
 
 
-def stabilizer_elements(q: FiniteQuandle) -> tuple[int, ...]:
-    """Elements e with s*e = s for all s, i.e. columns equal to the identity."""
-    ident = identity_perm(q.size)
-    return tuple(e for e in range(q.size) if q.columns[e] == ident)
-
-
 def is_trivial_quandle(q: FiniteQuandle) -> bool:
-    return len(stabilizer_elements(q)) == q.size
+    """Every right translation is the identity: s*e = s for all s and e."""
+    ident = identity_perm(q.size)
+    return all(col == ident for col in q.columns)
 
 
 def orbits(q: FiniteQuandle) -> tuple[tuple[int, ...], ...]:

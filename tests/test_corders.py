@@ -1,34 +1,35 @@
+import ast
 from itertools import permutations, product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import definitional
+from definitional import (
+    TripleFunction,
+    cocycle_defect,
+    cyclic_to_function,
+    is_degenerate_triple,
+    left_invariance_witness,
+    naive_circular_functions,
+    right_invariance_witness,
+    validate_triple_function,
+)
 from quorder import (
     CyclicOrder,
     LinearOrder,
-    NotACircularOrdering,
-    ResourceLimit,
-    SmallCarrier,
-    TripleFunction,
     circular_from_linear,
-    cocycle_defect,
-    cyclic_to_function,
     dihedral_quandle,
     enumerate_circular_orderings,
     enumerate_rankings,
-    enumerate_triple_functions,
-    function_to_cyclic,
-    is_degenerate_triple,
     is_left_invariant,
     is_left_order,
     is_right_invariant,
     is_right_order,
-    left_invariance_witness,
-    right_invariance_witness,
     trivial_quandle,
-    validate_triple_function,
 )
 from quorder.search import enumerate_space
 
@@ -55,26 +56,6 @@ def pairwise_monotone(o, maps):
 def translations(n, maps):
     """A stand-in exposing arbitrary maps as both translation families."""
     return SimpleNamespace(size=n, columns=maps, rows=maps)
-
-
-def naive_circular_functions(n):
-    """Independent oracle: filter every +-1 assignment by the definition."""
-    triples = [t for t in product(range(n), repeat=3) if not is_degenerate_triple(*t)]
-    index = {t: i for i, t in enumerate(triples)}
-    out = []
-    for bits in product((1, -1), repeat=len(triples)):
-        def c(x, y, z):
-            if is_degenerate_triple(x, y, z):
-                return 0
-            return bits[index[(x, y, z)]]
-
-        if all(
-            c(t1, t2, t3) - c(t1, t2, t4) + c(t1, t3, t4) - c(t2, t3, t4) == 0
-            for t1, t2, t3, t4 in product(range(n), repeat=4)
-        ):
-            dense = tuple(c(x, y, z) for x in range(n) for y in range(n) for z in range(n))
-            out.append(dense)
-    return out
 
 
 class TestDegenerateTriples:
@@ -161,51 +142,36 @@ class TestValidation:
         assert violation.kind == "cocycle"
 
 
-class TestConversions:
-    def test_round_trip_from_arrangement(self):
-        c = CyclicOrder((0, 2, 1))
-        assert function_to_cyclic(cyclic_to_function(c)) == c
-
-    def test_round_trips_all_small_arrangements(self):
-        for n in (3, 4, 5):
-            for c in all_arrangements(n):
-                assert function_to_cyclic(cyclic_to_function(c)) == c
-
-    def test_small_carrier_rejected(self):
-        with pytest.raises(SmallCarrier):
-            function_to_cyclic(TripleFunction.zero(2))
-
-    def test_invalid_function_rejected(self):
-        with pytest.raises(NotACircularOrdering):
-            function_to_cyclic(TripleFunction.zero(3))
-
-
 class TestRawEnumeration:
+    """The naive scan of every sign pattern against the arrangements."""
+
     def test_counts_match_factorials(self):
-        assert len(enumerate_triple_functions(1)) == 1
-        assert len(enumerate_triple_functions(2)) == 1
-        assert len(enumerate_triple_functions(3)) == 2
-        assert len(enumerate_triple_functions(4)) == 6
+        assert [len(naive_circular_functions(n)) for n in (1, 2, 3)] == [1, 1, 2]
 
     def test_matches_naive_oracle_for_three_elements(self):
-        oracle = naive_circular_functions(3)
-        assert len(oracle) == 2
-        package = [f.values for f in enumerate_triple_functions(3)]
-        assert sorted(oracle) == sorted(package)
+        for n in (1, 2, 3):
+            from_arrangements = sorted(cyclic_to_function(c).values for c in all_arrangements(n))
+            assert naive_circular_functions(n) == from_arrangements
 
     def test_each_function_comes_from_a_unique_arrangement(self):
-        for n in (3, 4):
-            functions = enumerate_triple_functions(n)
-            by_arrangement = {c: cyclic_to_function(c) for c in all_arrangements(n)}
-            assert sorted(f.values for f in functions) == sorted(
-                f.values for f in by_arrangement.values()
-            )
-            recovered = [function_to_cyclic(f) for f in functions]
-            assert len(set(recovered)) == len(functions)
+        for n in (3, 4, 5):
+            functions = [cyclic_to_function(c) for c in all_arrangements(n)]
+            assert all(validate_triple_function(f) is None for f in functions)
+            assert len({f.values for f in functions}) == len(functions)
 
-    def test_cap(self):
-        with pytest.raises(ResourceLimit):
-            enumerate_triple_functions(6)
+
+def test_definitional_oracle_is_independent():
+    """The oracle takes only the object it checks from the package, never the
+    structural tests it is compared against."""
+    tree = ast.parse(Path(definitional.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    from_package = {name for name in imported if name.split(".")[0] == "quorder"}
+    assert from_package == {"quorder.corders.CyclicOrder"}
 
 
 class TestLinearToCircular:

@@ -29,7 +29,6 @@ from quorder import (
     decide_right_orderable,
     dihedral_quandle,
     direct_product,
-    dual_quandle,
     embedding_image,
     enumerate_bicircular,
     enumerate_circular_orderings,
@@ -576,11 +575,6 @@ class TestCatalog:
             [[p[q.op(inv[i], inv[j])] for j in range(3)] for i in range(3)]
         )
         assert canonical_form(q) == canonical_form(relabeled)
-
-    def test_double_dual_over_catalog(self, class_catalog):
-        for n in range(1, 6):
-            for q in class_catalog[n]:
-                assert dual_quandle(dual_quandle(q)).table == q.table
 
 
 class TestOrderlyGeneration:
