@@ -27,7 +27,7 @@ from .errors import (
     QuorderError,
     ResourceLimit,
 )
-from .groups import FiniteGroup, cyclic_group, direct_product, scaling_automorphism, symmetric_group
+from .groups import FiniteGroup, check_carrier, cyclic_group, direct_product, scaling_automorphism, symmetric_group
 from .quandles import (
     FiniteQuandle,
     affine_quandle,
@@ -78,6 +78,7 @@ def parse_input(document) -> FiniteQuandle | FiniteGroup:
     table = document.get("table")
     if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
         raise ParseError("table must be a list of lists")
+    check_carrier(len(table))
     for row in table:
         for v in row:
             if type(v) is not int:
@@ -404,7 +405,8 @@ def _load_quandle(config: RunConfig) -> FiniteQuandle:
             document = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {config.input_path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the decoder's depth limit
         raise ParseError(f"invalid JSON in {config.input_path}: {exc}") from None
     structure = parse_input(document)
     if isinstance(structure, FiniteGroup):

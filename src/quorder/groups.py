@@ -18,6 +18,15 @@ from .radix import decode_mixed, encode_mixed
 
 Perm = tuple[int, ...]
 
+MAX_CARRIER_N = 300  # largest carrier a Cayley table is built for
+
+
+def check_carrier(n: int) -> None:
+    """Raise ResourceLimit past MAX_CARRIER_N, before an n-point table with
+    n^2 entries and an O(n^3) axiom check is built."""
+    if n > MAX_CARRIER_N:
+        raise ResourceLimit("carrier size", n, MAX_CARRIER_N)
+
 
 # ---------------------------------------------------------------------------
 # permutation primitives
@@ -143,6 +152,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     """Z_n with addition mod n and identity 0."""
     if n < 1:
         raise NotAGroup("carrier must be nonempty")
+    check_carrier(n)
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return FiniteGroup(table, 0, name=f"Z{n}")
 
@@ -159,6 +169,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; the pair (a, b) is the element a*|h| + b."""
     sizes = (g.size, h.size)
     n = g.size * h.size
+    check_carrier(n)
     table = []
     for x in range(n):
         a1, b1 = decode_mixed(x, sizes)

@@ -18,6 +18,7 @@ from .groups import (
     FiniteGroup,
     GroupAutomorphism,
     PermutationGroup,
+    check_carrier,
     closure,
     compose,
     cycle_type,
@@ -96,12 +97,14 @@ class FiniteQuandle:
 
 def trivial_quandle(n: int) -> FiniteQuandle:
     """x*y = x."""
+    check_carrier(n)
     table = tuple(tuple(i for _ in range(n)) for i in range(n))
     return FiniteQuandle(table, name=f"trivial:{n}")
 
 
 def dihedral_quandle(n: int) -> FiniteQuandle:
     """Carrier Z_n with i*j = 2j - i mod n."""
+    check_carrier(n)
     table = tuple(tuple((2 * j - i) % n for j in range(n)) for i in range(n))
     return FiniteQuandle(table, name=f"dihedral:{n}")
 
@@ -110,6 +113,7 @@ def affine_quandle(n: int, alpha: int) -> FiniteQuandle:
     """Carrier Z_n with i*j = alpha*i + (1-alpha)*j mod n; alpha must be a unit."""
     if math.gcd(alpha, n) != 1:
         raise NotInvertible(alpha, n)
+    check_carrier(n)
     table = tuple(
         tuple((alpha * i + (1 - alpha) * j) % n for j in range(n)) for i in range(n)
     )
@@ -153,6 +157,7 @@ def product_quandle(qs: Sequence[FiniteQuandle]) -> FiniteQuandle:
     n = 1
     for s in sizes:
         n *= s
+    check_carrier(n)
     table = []
     for x in range(n):
         xs = decode_mixed(x, sizes)

@@ -594,15 +594,14 @@ def are_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
     return extend(0)
 
 
-def _least_relabelling(table: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Lexicographically least relabelling of a square table over all n!
-    relabellings p, which send entry (i, j) = v to (p[i], p[j]) = p[v].
-
-    Each candidate is built row by row and dropped at the first row that
-    exceeds the same row of the least table so far: the rows after it cannot
-    make it smaller.
+def canonical_form(q: FiniteQuandle) -> tuple[tuple[int, ...], ...]:
+    """Lexicographically least relabelling of the table, equal across a
+    class: the least over all n! relabellings p, which send entry (i, j) = v
+    to (p[i], p[j]) = p[v]. Each candidate is built row by row and dropped at
+    the first row that exceeds the same row of the least table so far, since
+    the rows after it cannot make it smaller.
     """
-    n = len(table)
+    table, n = q.table, q.size
     best = None
     for p in permutations(range(n)):
         inv = invert(p)
@@ -619,11 +618,6 @@ def _least_relabelling(table: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, .
         else:
             best = tuple(rows)
     return best
-
-
-def canonical_form(q: FiniteQuandle) -> tuple[tuple[int, ...], ...]:
-    """Lexicographically least relabeling of the table; equal across a class."""
-    return _least_relabelling(q.table)
 
 
 def _transpose(table) -> tuple[tuple[int, ...], ...]:
@@ -685,12 +679,9 @@ def generate_all_quandles(n: int, up_to_iso: bool = False) -> tuple[FiniteQuandl
     greatest cycle type to 0, then relabel the other points so that R_0
     becomes the fixed permutation of its type, which a relabelling fixing 0
     can do because it conjugates R_0 by a permutation of 1..n-1. The tables
-    found are deduped with `are_isomorphic`. Each class is then returned as
-    the least relabelling of its column tuple, and the classes in that
-    order. A relabelling of a table relabels its column tuple the same way,
-    and every relabelling of a quandle is in the labelled output, so this
-    is the class's first labelled member, and the order is the one in which
-    the labelled output first meets each class.
+    found are deduped with `are_isomorphic`, and each class is returned as
+    its `canonical_form`, the least relabelling of its table, with the
+    classes sorted by those forms: the numbering `census` reports.
     """
     if n > MAX_GENERATE_N:
         raise ResourceLimit("quandle generation", n, MAX_GENERATE_N)
@@ -710,34 +701,31 @@ def generate_all_quandles(n: int, up_to_iso: bool = False) -> tuple[FiniteQuandl
             q = FiniteQuandle(_transpose(cols))
             if not any(are_isomorphic(q, r) for r in reps):
                 reps.append(q)
-    least = sorted(_least_relabelling(q.columns) for q in reps)
-    return tuple(FiniteQuandle(_transpose(cols)) for cols in least)
+    return tuple(FiniteQuandle(t) for t in sorted(canonical_form(q) for q in reps))
 
 
 def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
     """Orderability flags, order-space sizes, and structure for every
     isomorphism class up to max_n.
 
-    Classes are keyed by their canonical (lexicographically least) table and
-    numbered in that order, so reports are stable under relabeling. The
-    space sizes record how large the five finite spaces actually
-    come out, not just whether they are empty. Each order's ground sets (the
-    arrangements and the rankings) are built once, after its classes are
-    generated, and shared by every class. Each space is scanned once per
-    class: its size is the brute tier's filter of the ground set (the one
-    `brute_space` applies), and its flag is the fast path's answer, diffed
-    against that size on every class.
+    The classes are `generate_all_quandles(n, up_to_iso=True)`, each its
+    canonical (lexicographically least) table, numbered in that order, so
+    reports are stable under relabeling. The space sizes record how large
+    the five finite spaces actually come out, not just whether they are
+    empty. Each order's ground sets (the arrangements and the rankings) are
+    built once, after its classes are generated, and shared by every class.
+    Each space is scanned once per class: its size is the brute tier's
+    filter of the ground set (the one `brute_space` applies), and its flag
+    is the fast path's answer, diffed against that size on every class.
     """
     records = []
     for n in range(1, max_n + 1):
-        reps = generate_all_quandles(n, up_to_iso=True)
-        canon = sorted(canonical_form(q) for q in reps)
+        classes = generate_all_quandles(n, up_to_iso=True)
         grounds: dict[Callable, tuple] = {}
         for s in SPACES.values():
             if s.ground not in grounds:
                 grounds[s.ground] = s.ground(n, caps)
-        for class_id, table in enumerate(canon):
-            q = FiniteQuandle(table)
+        for class_id, q in enumerate(classes):
             flags, sizes = {}, {}
             for kind, s in SPACES.items():
                 size = len(_filter(s, q, grounds[s.ground]))
@@ -749,7 +737,7 @@ def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
                 {
                     "order": n,
                     "class_id": class_id,
-                    "representative_table": [list(row) for row in table],
+                    "representative_table": [list(row) for row in q.table],
                     **flags,
                     **sizes,
                     "latin": is_latin(q),

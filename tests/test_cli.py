@@ -1,9 +1,13 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quorder import (
     FiniteGroup,
@@ -13,6 +17,7 @@ from quorder import (
     SearchCaps,
     cyclic_group,
     dihedral_quandle,
+    generate_all_quandles,
     symmetric_group,
     trivial_quandle,
 )
@@ -244,6 +249,16 @@ class TestRun:
         )
         assert status == 2
         assert report["error"]["kind"] == "ParseError"
+
+    def test_over_nested_json_exit_code(self, tmp_path, capsys):
+        # the decoder gives up with RecursionError long before this depth
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        status = main(["check", "--input", str(deep), "--property", "right-circular", "--fail-on-no"])
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert status == 2
+        assert error["kind"] == "ParseError"
+        assert "recursion" in error["detail"]
 
     def test_group_input_rejected_for_check(self, tmp_path):
         doc = tmp_path / "group.json"
@@ -487,6 +502,105 @@ class TestMain:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 0
         assert err == b""
+
+
+class TestInputBounds:
+    """Carriers past MAX_CARRIER_N are refused before any table is built."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ["--builtin", "conj:z100000"],
+            ["--builtin", "product:conj:s5+conj:s5"],
+            ["--builtin", "conj:z20xz20"],
+            "rows",
+        ],
+        ids=["cyclic", "product", "direct-product", "json-rows"],
+    )
+    def test_oversized_carrier_exits_3_at_once(self, source, tmp_path):
+        if source == "rows":
+            doc = {"kind": "quandle", "table": [[i] * 301 for i in range(301)]}
+            path = tmp_path / "rows.json"
+            path.write_text(json.dumps(doc))
+            source = ["--input", str(path)]
+        # a separate process, killed after 2 s: without the cap conj:z100000
+        # would build a table of 10^10 entries
+        proc = subprocess.run(
+            [sys.executable, "-m", "quorder.cli", "check", *source, "--property", "right-circular"],
+            capture_output=True,
+            timeout=2,
+        )
+        error = json.loads(proc.stdout)["error"]
+        assert proc.returncode == 3
+        assert error["kind"] == "resource-limit"
+        assert error["detail"].startswith("carrier size")
+
+
+# builtin specs: the family grammar with integers up to 12, and any text
+_INT = st.integers(-1, 12).map(str)
+_GROUP = st.lists(st.tuples(st.sampled_from("zs"), _INT).map("".join), min_size=1, max_size=2).map("x".join)
+_FAMILY = st.one_of(
+    st.tuples(st.sampled_from(["trivial:", "dihedral:"]), _INT).map("".join),
+    st.tuples(_INT, _INT).map(lambda p: f"affine:{p[0]}:{p[1]}"),
+    st.tuples(st.sampled_from(["conj:", "core:"]), _GROUP).map("".join),
+    st.tuples(_GROUP, _INT).map(lambda p: f"alexander:{p[0]}:{p[1]}"),
+)
+_SPECS = st.one_of(
+    _FAMILY,
+    st.lists(_FAMILY, min_size=1, max_size=3).map(lambda parts: "product:" + "+".join(parts)),
+    st.text(max_size=20),
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+_QUANDLES = st.sampled_from([q.table for n in (1, 2, 3) for q in generate_all_quandles(n)])
+_TABLES = st.one_of(_JSON, st.lists(st.lists(st.integers(-1, 4), max_size=4), max_size=4), _QUANDLES)
+_DOCUMENTS = st.one_of(
+    st.binary(max_size=40),
+    _JSON.map(json.dumps).map(str.encode),
+    st.builds(lambda t, name: {"kind": "quandle", "table": t, "name": name}, _QUANDLES, _JSON)
+    .map(json.dumps)
+    .map(str.encode),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["quandle", "group", "rack"]), "table": _TABLES},
+        optional={"index_base": _JSON | st.sampled_from([0, 1]), "identity": _JSON, "name": _JSON},
+    ).map(json.dumps).map(str.encode),
+)
+_COMMANDS = st.tuples(st.sampled_from(["check", "witness", "enumerate"]), st.sampled_from(PROPERTIES))
+
+
+class TestFuzzedInputs:
+    """Whatever the spec or document, main ends with exit 0-3 and prints one
+    JSON document."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+    @staticmethod
+    def _main(argv):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            status = main(argv)
+        report = json.loads(out.getvalue())
+        assert status in (0, 1, 2, 3)
+        assert ("error" in report) == (status in (2, 3))
+        return status
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=_SPECS, command=_COMMANDS, fail_on_no=st.booleans())
+    def test_builtin_specs(self, spec, command, fail_on_no):
+        cmd, prop = command
+        self._main([cmd, f"--builtin={spec}", "--property", prop, "--max-enum", "6"] + ["--fail-on-no"] * fail_on_no)
+
+    @settings(max_examples=80, deadline=None)
+    @given(document=_DOCUMENTS, command=_COMMANDS, fail_on_no=st.booleans())
+    def test_json_documents(self, path, document, command, fail_on_no):
+        cmd, prop = command
+        path.write_bytes(document)
+        self._main([cmd, "--input", str(path), "--property", prop, "--max-enum", "6"] + ["--fail-on-no"] * fail_on_no)
 
 
 class TestVerifyPaperChecks:

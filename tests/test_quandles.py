@@ -6,6 +6,7 @@ from quorder import (
     FiniteQuandle,
     NotAQuandle,
     NotInvertible,
+    ResourceLimit,
     affine_quandle,
     conj_quandle,
     core_quandle,
@@ -25,7 +26,7 @@ from quorder import (
 )
 from quorder import quandles
 from quorder.cli import quandle_from_builtin
-from quorder.groups import identity_perm, is_cyclic
+from quorder.groups import MAX_CARRIER_N, check_carrier, identity_perm, is_cyclic
 from quorder.groups import orbits as group_orbits
 
 # the order-3 quandle with orbit decomposition {0,1} | {2}, written 0-indexed
@@ -152,6 +153,38 @@ class TestProduct:
     def test_empty_product_rejected(self):
         with pytest.raises(ValueError):
             product_quandle([])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_product_is_trivial_exactly_when_every_factor_is(self, class_catalog, data):
+        classes = [q for n in (1, 2, 3) for q in class_catalog[n]]
+        factors = data.draw(st.lists(st.sampled_from(classes), min_size=1, max_size=3))
+        q = product_quandle(factors)
+        assert is_trivial_quandle(q) == all(is_trivial_quandle(f) for f in factors)
+
+
+class TestCarrierCap:
+    def test_cap_boundary(self):
+        check_carrier(MAX_CARRIER_N)
+        with pytest.raises(ResourceLimit) as info:
+            check_carrier(MAX_CARRIER_N + 1)
+        assert (info.value.requested, info.value.cap) == (MAX_CARRIER_N + 1, MAX_CARRIER_N)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: trivial_quandle(MAX_CARRIER_N + 1),
+            lambda: dihedral_quandle(MAX_CARRIER_N + 1),
+            lambda: affine_quandle(MAX_CARRIER_N + 1, 2),
+            lambda: cyclic_group(MAX_CARRIER_N + 1),
+            lambda: direct_product(cyclic_group(20), cyclic_group(20)),
+            lambda: product_quandle([dihedral_quandle(3)] * 5 + [trivial_quandle(2)]),
+        ],
+        ids=["trivial", "dihedral", "affine", "cyclic", "direct-product", "product"],
+    )
+    def test_oversized_carriers_raise_before_building(self, build):
+        with pytest.raises(ResourceLimit):
+            build()
 
 
 class TestTranslations:

@@ -488,8 +488,10 @@ def _canonical_by_scan(q):
     return best
 
 
-# Class representatives of generate_all_quandles(n, up_to_iso=True), in
-# output order; rows separated by "/".
+# One table per isomorphism class of order n: each class's first member in
+# the labelled output, in the order that output meets the classes; rows
+# separated by "/". generate_all_quandles(n, up_to_iso=True) returns their
+# canonical forms, sorted.
 CLASS_REPRESENTATIVES = {
     1: ["0"],
     2: ["00/11"],
@@ -535,7 +537,8 @@ class TestCatalog:
     def test_class_representatives_frozen(self, class_catalog):
         for n, encoded in CLASS_REPRESENTATIVES.items():
             tables = [tuple(tuple(map(int, row)) for row in e.split("/")) for e in encoded]
-            assert [q.table for q in class_catalog[n]] == tables
+            expected = sorted(_canonical_by_scan(FiniteQuandle(t)) for t in tables)
+            assert [q.table for q in class_catalog[n]] == expected
 
     def test_labeled_counts_frozen(self, labeled_catalog):
         assert [len(labeled_catalog[n]) for n in (1, 2, 3, 4)] == [1, 1, 5, 36]
@@ -592,12 +595,10 @@ class TestOrderlyGeneration:
             assert sum(isomorphic(q, r) for r in reps) == 1, q.table
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_representatives_are_first_labelled_members_in_order(self, labelled, class_catalog, n):
-        firsts = []
-        for q in labelled[n]:
-            if not any(are_isomorphic(q, f) for f in firsts):
-                firsts.append(q)
-        assert [q.table for q in class_catalog[n]] == [q.table for q in firsts]
+    def test_representatives_are_sorted_canonical_forms_of_labelled_output(self, labelled, class_catalog, n):
+        canonical = _canonical_by_scan if n <= 4 else canonical_form
+        forms = sorted({canonical(q) for q in labelled[n]})
+        assert [q.table for q in class_catalog[n]] == forms
 
     def test_canonical_form_equals_full_scan_on_labelled_tables(self, labeled_catalog):
         for n in (1, 2, 3, 4):
@@ -692,6 +693,15 @@ class TestOrderClosureProperties:
                 for o in brute_space("LO", q):
                     assert circular_from_linear(o) in lco
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_space_sizes_survive_relabelling(self, class_catalog, data):
+        n = data.draw(st.integers(1, 4))
+        q = data.draw(st.sampled_from(class_catalog[n]))
+        relabelled = _relabel(q, data.draw(st.permutations(range(n))))
+        for kind in SPACES:
+            assert len(brute_space(kind, relabelled)) == len(brute_space(kind, q)), kind
+
     def test_monotone_consistency(self, labeled_catalog):
         # empty RCO forces empty RO (and dually)
         for n, quandles in labeled_catalog.items():
@@ -781,6 +791,19 @@ class TestCensus:
         assert sorted(built) == sorted(
             (name, n) for name in ("enumerate_circular_orderings", "enumerate_rankings") for n in (1, 2, 3, 4)
         )
+
+    def test_census_takes_the_catalogue_as_it_comes(self, class_catalog, monkeypatch):
+        # the catalogue returns canonical forms in census order, so census
+        # neither relabels nor rebuilds a class
+        expected = census(5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("census relabelled or rebuilt a class")
+
+        monkeypatch.setattr(search, "generate_all_quandles", lambda n, up_to_iso: class_catalog[n])
+        monkeypatch.setattr(search, "canonical_form", refuse)
+        monkeypatch.setattr(search, "FiniteQuandle", refuse)
+        assert census(5) == expected
 
     def test_census_diffs_fast_path_against_enumeration(self, monkeypatch):
         wrong = Verdict(False, certificate=Certificate(EXHAUSTED, {"checked": 0}, "wrong"))
