@@ -600,6 +600,17 @@ class TestOrderlyGeneration:
         forms = sorted({canonical(q) for q in labelled[n]})
         assert [q.table for q in class_catalog[n]] == forms
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_representatives_are_first_labelled_members_in_order(self, labelled, class_catalog, n):
+        # classes found by isomorphism alone, each kept as its first labelled
+        # member; the catalogue holds their canonical forms in sorted order
+        canonical = _canonical_by_scan if n <= 4 else canonical_form
+        firsts = []
+        for q in labelled[n]:
+            if not any(are_isomorphic(q, f) for f in firsts):
+                firsts.append(q)
+        assert [q.table for q in class_catalog[n]] == sorted(canonical(f) for f in firsts)
+
     def test_canonical_form_equals_full_scan_on_labelled_tables(self, labeled_catalog):
         for n in (1, 2, 3, 4):
             for q in labeled_catalog[n]:
