@@ -85,6 +85,8 @@ def parse_input(document) -> FiniteQuandle | FiniteGroup:
                 raise ParseError(f"table entries must be integers, got {v!r}")
     norm = tuple(tuple(v - base for v in row) for row in table)
     name = document.get("name")
+    if "name" in document and not isinstance(name, str):
+        raise ParseError("name must be a string")
     if kind == "quandle":
         return FiniteQuandle(norm, name=name)
     identity = document.get("identity")

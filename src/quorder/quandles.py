@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import permutations
 from typing import Sequence
 
-from .errors import NotAQuandle, NotInvertible
+from .errors import NotAQuandle, NotInvertible, ResourceLimit
 from .groups import (
     FiniteGroup,
     GroupAutomorphism,
@@ -21,10 +22,12 @@ from .groups import (
     check_carrier,
     closure,
     compose,
-    cycle_type,
     identity_perm,
+    invert,
 )
 from .radix import decode_mixed, encode_mixed
+
+MAX_CANONICAL_N = 8  # canonical forms (n! relabellings) are computed up to this order
 
 
 @dataclass(frozen=True)
@@ -82,13 +85,35 @@ class FiniteQuandle:
         return self.table
 
     @cached_property
-    def point_invariants(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Per point s: the cycle type of R_s and the image size of L_s.
+    def canonical_table(self) -> tuple[tuple[int, ...], ...]:
+        """Lexicographically least relabelling of the table, equal across an
+        isomorphism class: the least over all n! relabellings p, which send
+        entry (i, j) = v to (p[i], p[j]) = p[v]. Each candidate is built row
+        by row and dropped at the first row that exceeds the same row of the
+        least table so far, since the rows after it cannot make it smaller.
 
-        An isomorphism that sends s to s' conjugates R_s to R_s' and carries
-        the image of L_s onto that of L_s', so it keeps both.
+        Computed on first use and kept. A carrier of more than
+        MAX_CANONICAL_N points raises ResourceLimit before the scan starts.
         """
-        return tuple((cycle_type(col), len(set(row))) for col, row in zip(self.columns, self.rows))
+        table, n = self.table, self.size
+        if n > MAX_CANONICAL_N:
+            raise ResourceLimit("canonical form", n, MAX_CANONICAL_N)
+        best = None
+        for p in permutations(range(n)):
+            inv = invert(p)
+            rows = []
+            tied = best is not None  # every row so far equals best's
+            for i in range(n):
+                src = table[inv[i]]
+                row = tuple([p[src[k]] for k in inv])
+                if tied:
+                    if row > best[i]:
+                        break
+                    tied = row == best[i]
+                rows.append(row)
+            else:
+                best = tuple(rows)
+        return best
 
 
 # ---------------------------------------------------------------------------

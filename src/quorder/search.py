@@ -24,6 +24,11 @@ brute strategy stops at the first member. It is the independent oracle, and
 only oracle paths run it: `decide`'s auto strategy diffs the two tiers up to
 ORACLE_MAX_N points, and `census` diffs every fast-path verdict against the
 size the same filter finds on a ground set built once per order.
+
+The census classifies the quandles of each order up to isomorphism by one
+relabelling search: the canonical form, the least of a table's n!
+relabellings, computed once per quandle. Two quandles are isomorphic exactly
+when their forms are equal, and each class is reported as its form.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .errors import (
     InternalInconsistency,
     ResourceLimit,
 )
-from .groups import Perm, cycle_type, invert
+from .groups import Perm, cycle_type
 
 # uncalled here: perfbench/tracing.py wraps these names (ROADMAP item 2 removes them)
 from .groups import closure, is_cyclic, is_semiregular  # noqa: F401
@@ -465,14 +470,22 @@ def _side(side: str) -> tuple[str, str]:
     return _SIDES[side]
 
 
+def _check_points(q: FiniteQuandle, values) -> None:
+    for v in values:
+        if not _points(q, [v]):
+            raise ValueError(f"{v!r} is not a point of the {q.size}-point carrier")
+
+
 def subbasic_circular(
     q: FiniteQuandle, side: str, triple: tuple[int, int, int], caps: SearchCaps = DEFAULT_CAPS
 ) -> tuple[CyclicOrder, ...]:
     """Members of RCO (side='right') or LCO taking the value +1 on the given
-    nondegenerate triple."""
+    nondegenerate triple of points; an entry that is not a point raises
+    ValueError."""
     x, y, z = triple
     if x == y or y == z or x == z:
         raise DegenerateTriple(f"triple {triple} has a repeated entry")
+    _check_points(q, triple)
     _, circular = _side(side)
     return tuple(c for c in enumerate_space(circular, q, caps) if c.evaluate(*triple) == 1)
 
@@ -480,10 +493,12 @@ def subbasic_circular(
 def subbasic_linear(
     q: FiniteQuandle, side: str, pair: tuple[int, int], caps: SearchCaps = DEFAULT_CAPS
 ) -> tuple[LinearOrder, ...]:
-    """Members of RO (side='right') or LO placing a strictly before b."""
+    """Members of RO (side='right') or LO placing a strictly before b; an
+    entry that is not a point raises ValueError."""
     a, b = pair
     if a == b:
         raise DiagonalPair(f"pair {pair} lies on the diagonal")
+    _check_points(q, pair)
     linear, _ = _side(side)
     return tuple(o for o in enumerate_space(linear, q, caps) if o.before(a, b))
 
@@ -546,78 +561,19 @@ def embedding_image(
 
 
 def are_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
-    """True iff some relabeling permutation p carries one table to the other:
-    q2(p[i], p[j]) = p[q1(i, j)] for all i, j.
-
-    A relabeling keeps each point's invariant (the cycle type of its right
-    translation and the image size of its left one; see
-    FiniteQuandle.point_invariants), so the answer is no at once when the
-    sorted invariant lists differ. Otherwise p is built on the points 0, 1,
-    ... in turn, each taking only images with its own invariant. A table
-    entry is compared as soon as its row, column and value are all mapped,
-    and a branch that breaks one is cut. A complete p is accepted only after
-    the whole table is compared.
+    """True iff some relabelling permutation p carries one table to the other:
+    q2(p[i], p[j]) = p[q1(i, j)] for all i, j. Both then have the same
+    canonical form, the least such relabelling, and a quandle computes its
+    form once (`FiniteQuandle.canonical_table`), so a test against a
+    quandle already met costs one comparison of tables.
     """
-    n = q1.size
-    if n != q2.size:
-        return False
-    inv1, inv2 = q1.point_invariants, q2.point_invariants
-    if sorted(inv1) != sorted(inv2):
-        return False
-    t1, t2 = q1.table, q2.table
-    images: dict[tuple, list[int]] = {}
-    for y, key in enumerate(inv2):
-        images.setdefault(key, []).append(y)
-    # due[i]: the entries whose last point to be mapped is i
-    due: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            v = t1[a][b]
-            due[max(a, b, v)].append((a, b, v))
-    p = [-1] * n
-    taken = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return all(t2[p[a]][p[b]] == p[t1[a][b]] for a in range(n) for b in range(n))
-        for y in images[inv1[i]]:
-            if taken[y]:
-                continue
-            p[i] = y
-            if all(t2[p[a]][p[b]] == p[v] for a, b, v in due[i]):
-                taken[y] = True
-                if extend(i + 1):
-                    return True
-                taken[y] = False
-        return False
-
-    return extend(0)
+    return q1.size == q2.size and q1.canonical_table == q2.canonical_table
 
 
 def canonical_form(q: FiniteQuandle) -> tuple[tuple[int, ...], ...]:
     """Lexicographically least relabelling of the table, equal across a
-    class: the least over all n! relabellings p, which send entry (i, j) = v
-    to (p[i], p[j]) = p[v]. Each candidate is built row by row and dropped at
-    the first row that exceeds the same row of the least table so far, since
-    the rows after it cannot make it smaller.
-    """
-    table, n = q.table, q.size
-    best = None
-    for p in permutations(range(n)):
-        inv = invert(p)
-        rows = []
-        tied = best is not None  # every row so far equals best's
-        for i in range(n):
-            src = table[inv[i]]
-            row = tuple([p[src[k]] for k in inv])
-            if tied:
-                if row > best[i]:
-                    break
-                tied = row == best[i]
-            rows.append(row)
-        else:
-            best = tuple(rows)
-    return best
+    class: `FiniteQuandle.canonical_table`, computed once per quandle."""
+    return q.canonical_table
 
 
 def _transpose(table) -> tuple[tuple[int, ...], ...]:
@@ -678,9 +634,10 @@ def generate_all_quandles(n: int, up_to_iso: bool = False) -> tuple[FiniteQuandl
     No class is lost: relabel a point whose right translation has the
     greatest cycle type to 0, then relabel the other points so that R_0
     becomes the fixed permutation of its type, which a relabelling fixing 0
-    can do because it conjugates R_0 by a permutation of 1..n-1. The tables
-    found are deduped with `are_isomorphic`, and each class is returned as
-    its `canonical_form`, the least relabelling of its table, with the
+    can do because it conjugates R_0 by a permutation of 1..n-1. Each table
+    found gets one canonical form, the least relabelling of its table, and
+    no other relabelling search: `are_isomorphic` dedupes the tables by
+    comparing their forms, and each class is returned as its form, with the
     classes sorted by those forms: the numbering `census` reports.
     """
     if n > MAX_GENERATE_N:

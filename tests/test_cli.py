@@ -260,6 +260,17 @@ class TestRun:
         assert error["kind"] == "ParseError"
         assert "recursion" in error["detail"]
 
+    @pytest.mark.parametrize("name", [{"x": [1, 2.5, None]}, None, 7, ["a"]])
+    def test_name_must_be_a_string(self, name, tmp_path, capsys):
+        doc = tmp_path / "named.json"
+        doc.write_text(json.dumps({"kind": "quandle", "table": [[0]], "name": name}))
+        status = main(["check", "--input", str(doc), "--property", "right-circular"])
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert status == 2
+        assert error == {"kind": "ParseError", "detail": "name must be a string"}
+        with pytest.raises(ParseError):
+            parse_input({"kind": "group", "identity": 0, "table": [[0]], "name": name})
+
     def test_group_input_rejected_for_check(self, tmp_path):
         doc = tmp_path / "group.json"
         z3 = {"kind": "group", "index_base": 0, "identity": 0, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}

@@ -410,6 +410,18 @@ class TestSubbasis:
                 assert len(members) == 3
                 assert all(o.before(a, b) for o in members)
 
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("pair, bad", [((-1, 0), -1), ((0, 7), 7), ((0, 3), 3), ((True, 0), True)])
+    def test_linear_subbasis_rejects_non_points(self, side, pair, bad):
+        with pytest.raises(ValueError, match=f"^{bad!r} is not a point of the 3-point carrier$"):
+            subbasic_linear(trivial_quandle(3), side, pair)
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("triple, bad", [((0, 1, 5), 5), ((-1, 0, 1), -1), ((0, 1, 3), 3)])
+    def test_circular_subbasis_rejects_non_points(self, side, triple, bad):
+        with pytest.raises(ValueError, match=f"^{bad!r} is not a point of the 3-point carrier$"):
+            subbasic_circular(trivial_quandle(3), side, triple)
+
 
 class TestEmbedding:
     def test_trivial_3_right(self):
@@ -624,6 +636,10 @@ class TestOrderlyGeneration:
                 assert canonical_form(relabelled) == _canonical_by_scan(relabelled), (q.table, sigma)
 
 
+def _refuse_scan(points):
+    raise AssertionError("a canonical-form scan started")
+
+
 class TestIsomorphism:
     def test_matches_scan_on_labelled_pairs(self, labeled_catalog):
         for quandles in labeled_catalog.values():
@@ -632,7 +648,6 @@ class TestIsomorphism:
                     assert are_isomorphic(a, b) == _isomorphic_by_scan(a, b), (a.table, b.table)
 
     def test_distinct_classes_are_not_isomorphic(self, class_catalog):
-        same_invariants = 0
         for n, reps in class_catalog.items():
             for a in reps:
                 for b in reps:
@@ -640,15 +655,12 @@ class TestIsomorphism:
                         continue
                     assert not are_isomorphic(a, b), (a.table, b.table)
                     assert not _isomorphic_by_scan(a, b)
-                    same_invariants += sorted(a.point_invariants) == sorted(b.point_invariants)
-        # affine:5:2 and affine:5:3, in both orders: the backtracking search,
-        # not the invariant filter, answers
-        assert same_invariants == 2
 
     @pytest.mark.parametrize("a, b", [("affine:7:2", "affine:7:4"), ("affine:7:3", "affine:7:5")])
     def test_equal_invariants_without_isomorphism(self, a, b):
+        # each pair matches point for point in the cycle types of the right
+        # translations and the image sizes of the left ones
         qa, qb = quandle_from_builtin(a), quandle_from_builtin(b)
-        assert sorted(qa.point_invariants) == sorted(qb.point_invariants)
         assert not are_isomorphic(qa, qb)
         assert not _isomorphic_by_scan(qa, qb)
 
@@ -664,8 +676,47 @@ class TestIsomorphism:
         relabelled = _relabel(q, sigma)
         assert are_isomorphic(q, relabelled)
         assert are_isomorphic(relabelled, q)
-        for s in range(q.size):
-            assert relabelled.point_invariants[sigma[s]] == q.point_invariants[s]
+
+    def test_order_5_generation_scans_once_per_table_found(self, monkeypatch):
+        scans, found = [], []
+        scan, column_search = quandles.permutations, search._column_search
+
+        def counted_scan(points):
+            scans.append(len(points))
+            return scan(points)
+
+        def counted_search(candidates):
+            tables = column_search(candidates)
+            found.extend(tables)
+            return tables
+
+        monkeypatch.setattr(quandles, "permutations", counted_scan)
+        monkeypatch.setattr(search, "_column_search", counted_search)
+        assert len(generate_all_quandles(5, up_to_iso=True)) == 22
+        assert len(scans) == len(found) == 36
+        assert set(scans) == {5}
+
+    def test_isomorphism_of_quandles_with_cached_forms_runs_no_scan(self, monkeypatch):
+        q = dihedral_quandle(5)
+        relabelled = _relabel(q, (4, 0, 3, 1, 2))
+        other = quandle_from_builtin("affine:5:2")
+        for x in (q, relabelled, other):
+            canonical_form(x)
+        monkeypatch.setattr(quandles, "permutations", _refuse_scan)
+        assert are_isomorphic(q, relabelled)
+        assert not are_isomorphic(q, other)
+        assert canonical_form(relabelled) == canonical_form(q)
+
+    def test_scan_cap_raises_before_scanning(self, monkeypatch):
+        assert quandles.MAX_CANONICAL_N == 8
+        q8 = dihedral_quandle(8)
+        assert are_isomorphic(q8, _relabel(q8, (7, 6, 5, 4, 3, 2, 1, 0)))
+        q9 = dihedral_quandle(9)
+        monkeypatch.setattr(quandles, "permutations", _refuse_scan)
+        for call in (lambda: canonical_form(q9), lambda: are_isomorphic(q9, q9)):
+            with pytest.raises(ResourceLimit) as info:
+                call()
+            assert (info.value.requested, info.value.cap) == (9, 8)
 
 
 class TestOracleEquivalence:
