@@ -80,10 +80,10 @@ def parse_input(document) -> FiniteQuandle | FiniteGroup:
         raise ParseError("table must be a list of lists")
     check_carrier(len(table))
     for row in table:
-        for v in row:
-            if type(v) is not int:
-                raise ParseError(f"table entries must be integers, got {v!r}")
-    norm = tuple(tuple(v - base for v in row) for row in table)
+        if not set(map(type, row)) <= {int}:
+            bad = next(v for v in row if type(v) is not int)
+            raise ParseError(f"table entries must be integers, got {bad!r}")
+    norm = tuple(tuple(map(base.__rsub__, row)) for row in table)
     name = document.get("name")
     if "name" in document and not isinstance(name, str):
         raise ParseError("name must be a string")

@@ -3,6 +3,12 @@
 Elements are always the integers 0..n-1; the table entry at row i, column j
 is the product i*j. Permutations are index tuples p with p[x] the image of x,
 composed so that ``compose(p, q)`` applies q first.
+
+The three-variable axioms, associativity here and right-distributivity in
+`quandles`, are checked by `holds_per_column` on carriers of at most BYTE_N
+points: both sides of the identity are built column by column with
+`bytes.translate` and compared as bytes. A Python triple scan runs above
+that size, and after a failed comparison to find the first failing triple.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Iterable, Sequence
 
 from .errors import NotAGroup, NotAnAutomorphism, NotAPermutation, ResourceLimit
@@ -23,7 +29,8 @@ MAX_CARRIER_N = 300  # largest carrier a Cayley table is built for
 
 def check_carrier(n: int) -> None:
     """Raise ResourceLimit past MAX_CARRIER_N, before an n-point table with
-    n^2 entries and an O(n^3) axiom check is built."""
+    n^2 entries is built; above BYTE_N points its axiom check is the O(n^3)
+    Python triple scan."""
     if n > MAX_CARRIER_N:
         raise ResourceLimit("carrier size", n, MAX_CARRIER_N)
 
@@ -76,6 +83,51 @@ def perm_order(p: Perm) -> int:
 
 
 # ---------------------------------------------------------------------------
+# axiom checks on Cayley tables
+
+BYTE_N = 256  # carriers of at most this many points are checked one point per byte
+
+
+def holds_per_column(table, right_side) -> bool:
+    """Whether (a*b)*c equals right_side for every a, b and c, compared one
+    column c at a time, with every product read in C by `bytes.translate`.
+
+    The table is read as its row-major entries, one byte each. Row x,
+    padded to 256 bytes, is the translation map t -> x*t, and column c is
+    every n-th byte from c. The entries translated by column c are (a*b)*c
+    for all a and b, and right_side(col, maps) builds the other side from
+    column c and the row maps, in the same order. The table must be square
+    with entries in range, on at most BYTE_N points.
+    """
+    n = len(table)
+    pad = bytes(BYTE_N - n)
+    flat = b"".join(map(bytes, table))
+    maps = [flat[i : i + n] + pad for i in range(0, n * n, n)]
+    for c in range(n):
+        col = flat[c::n]
+        if flat.translate(col + pad) != right_side(col, maps):
+            return False
+    return True
+
+
+def _associative_side(col: bytes, maps: list[bytes]) -> bytes:
+    """a*(b*c) for all a and b, in row-major order, c the given column."""
+    return b"".join(map(col.translate, maps))
+
+
+def _scan_associativity(table) -> None:
+    """Raise NotAGroup at the first (a, b, c), in lexicographic order, with
+    (a*b)*c != a*(b*c): the literal O(n^3) check."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    raise NotAGroup("associativity fails", (a, b, c))
+
+
+# ---------------------------------------------------------------------------
 # Cayley-table groups
 
 
@@ -85,6 +137,10 @@ class FiniteGroup:
 
     Construction validates every axiom eagerly (rows and columns are
     permutations, the identity behaves, associativity holds for all triples).
+    Associativity is compared column by column in C (`holds_per_column`) on
+    carriers of at most BYTE_N points. The triple scan runs above that, and
+    whenever the comparison fails, so that NotAGroup names the first failing
+    (a, b, c) in lexicographic order.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -92,22 +148,23 @@ class FiniteGroup:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        table = tuple(tuple(row) for row in self.table)
+        table = tuple(map(tuple, self.table))
         object.__setattr__(self, "table", table)
         n = len(table)
         if n == 0:
             raise NotAGroup("empty carrier")
+        if set(map(len, table)) != {n} or not set(range(n)).issuperset(chain.from_iterable(table)):
+            for i, row in enumerate(table):  # find the first bad row or entry
+                if len(row) != n:
+                    raise NotAGroup("table is not square", (i,))
+                for j, v in enumerate(row):
+                    if not (0 <= v < n):
+                        raise NotAGroup("entry out of range", (i, j))
         for i, row in enumerate(table):
-            if len(row) != n:
-                raise NotAGroup("table is not square", (i,))
-            for j, v in enumerate(row):
-                if not (0 <= v < n):
-                    raise NotAGroup("entry out of range", (i, j))
-        for i, row in enumerate(table):
-            if sorted(row) != list(range(n)):
+            if len(set(row)) != n:
                 raise NotAGroup(f"row {i} is not a permutation", (i,))
-        for j in range(n):
-            if sorted(table[i][j] for i in range(n)) != list(range(n)):
+        for j, col in enumerate(zip(*table)):
+            if len(set(col)) != n:
                 raise NotAGroup(f"column {j} is not a permutation", (j,))
         e = self.identity
         if not (0 <= e < n):
@@ -115,12 +172,8 @@ class FiniteGroup:
         for x in range(n):
             if table[e][x] != x or table[x][e] != x:
                 raise NotAGroup("identity fails", (e, x))
-        for a in range(n):
-            for b in range(n):
-                ab = table[a][b]
-                for c in range(n):
-                    if table[ab][c] != table[a][table[b][c]]:
-                        raise NotAGroup("associativity fails", (a, b, c))
+        if n > BYTE_N or not holds_per_column(table, _associative_side):
+            _scan_associativity(table)
 
     @property
     def size(self) -> int:

@@ -3,7 +3,10 @@
 The table is row-major with rows holding the left argument: entry (i, j) is
 i*j. Right translations are therefore column read-offs and left translations
 are row read-offs. Construction always runs the full axiom check, so no
-constructor can hand out an invalid table.
+constructor can hand out an invalid table. Right-distributivity is checked
+in C, one column at a time (`groups.holds_per_column`), on carriers of at
+most `groups.BYTE_N` = 256 points; the O(n^3) Python triple scan runs only
+above that, or after that check fails, to name the first failing triple.
 """
 
 from __future__ import annotations
@@ -11,17 +14,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Sequence
 
 from .errors import NotAQuandle, NotInvertible, ResourceLimit
 from .groups import (
+    BYTE_N,
     FiniteGroup,
     GroupAutomorphism,
     PermutationGroup,
     check_carrier,
     closure,
     compose,
+    holds_per_column,
     identity_perm,
     invert,
 )
@@ -32,39 +37,43 @@ MAX_CANONICAL_N = 8  # canonical forms (n! relabellings) are computed up to this
 
 @dataclass(frozen=True)
 class FiniteQuandle:
-    """Quandle on {0..n-1}, entry (i, j) = i*j; a bad table raises NotAQuandle."""
+    """Quandle on {0..n-1}, entry (i, j) = i*j; a bad table raises NotAQuandle.
+
+    NotAQuandle names the first axiom that fails and its first witness: a
+    row, then an entry (i, j), in row-major order; a diagonal entry; a
+    column; a triple (a, b, c) in lexicographic order. The entries and the
+    triples are first checked as a whole, and an entry-by-entry or
+    triple-by-triple Python scan runs only when that check fails, to find
+    the witness.
+    """
 
     table: tuple[tuple[int, ...], ...]
     name: str | None = field(default=None, compare=False)
+    # right-translation maps, columns[s][t] = t*s; read off during validation
+    columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table = tuple(tuple(row) for row in self.table)
+        table = tuple(map(tuple, self.table))
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "columns", tuple(zip(*table)))
         n = len(table)
         if n == 0:
             raise NotAQuandle("nonempty carrier", ())
-        for i, row in enumerate(table):
-            if len(row) != n:
-                raise NotAQuandle("square table", (i,))
-            for j, v in enumerate(row):
-                if not (0 <= v < n):
-                    raise NotAQuandle("entry in range", (i, j))
+        if set(map(len, table)) != {n} or not set(range(n)).issuperset(chain.from_iterable(table)):
+            for i, row in enumerate(table):  # find the first bad row or entry
+                if len(row) != n:
+                    raise NotAQuandle("square table", (i,))
+                for j, v in enumerate(row):
+                    if not (0 <= v < n):
+                        raise NotAQuandle("entry in range", (i, j))
         for i in range(n):
             if table[i][i] != i:
                 raise NotAQuandle("idempotency", (i, i))
-        for j in range(n):
-            seen = [False] * n
-            for i in range(n):
-                v = table[i][j]
-                if seen[v]:
-                    raise NotAQuandle("right-bijectivity", (j,))
-                seen[v] = True
-        for a in range(n):
-            for b in range(n):
-                ab = table[a][b]
-                for c in range(n):
-                    if table[ab][c] != table[table[a][c]][table[b][c]]:
-                        raise NotAQuandle("right-distributivity", (a, b, c))
+        for j, col in enumerate(self.columns):
+            if len(set(col)) != n:
+                raise NotAQuandle("right-bijectivity", (j,))
+        if n > BYTE_N or not holds_per_column(table, _distributive_side):
+            _scan_distributivity(table)
 
     @property
     def size(self) -> int:
@@ -72,12 +81,6 @@ class FiniteQuandle:
 
     def op(self, a: int, b: int) -> int:
         return self.table[a][b]
-
-    @cached_property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """Right-translation maps: columns[s][t] = t*s."""
-        n = self.size
-        return tuple(tuple(self.table[t][s] for t in range(n)) for s in range(n))
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -114,6 +117,24 @@ class FiniteQuandle:
             else:
                 best = tuple(rows)
         return best
+
+
+def _distributive_side(col: bytes, maps: list[bytes]) -> bytes:
+    """(a*c)*(b*c) for all a and b, in row-major order, c the given column:
+    row a*c translates the column."""
+    return b"".join(map(col.translate, map(maps.__getitem__, col)))
+
+
+def _scan_distributivity(table) -> None:
+    """Raise NotAQuandle at the first (a, b, c), in lexicographic order, with
+    (a*b)*c != (a*c)*(b*c): the literal O(n^3) check."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[table[a][c]][table[b][c]]:
+                    raise NotAQuandle("right-distributivity", (a, b, c))
 
 
 # ---------------------------------------------------------------------------

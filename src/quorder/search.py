@@ -169,8 +169,9 @@ def _identity_order(n: int, circle: bool) -> CyclicOrder | LinearOrder:
 
 def _first_non_injective_left(q: FiniteQuandle) -> Certificate | None:
     n = q.size
-    for s in range(n):
-        row = q.rows[s]
+    for s, row in enumerate(q.rows):
+        if len(set(row)) == n:
+            continue
         seen: dict[int, int] = {}
         for t in range(n):
             if row[t] in seen:

@@ -1,12 +1,15 @@
-"""The definitional oracle: circular orderings as raw functions on triples.
+"""The definitional oracle: circular orderings as raw functions on triples,
+and the quandle and group axioms as scans of a Cayley table.
 
 A circular ordering of an n-element carrier is a function c on ordered
 triples with values in {-1, 0, +1} that vanishes exactly on degenerate
 triples and has zero cocycle defect on every quadruple. This module checks
 that definition literally, triple by triple and quadruple by quadruple, so
 the structural membership tests of `quorder.corders` can be diffed against
-it. It imports nothing from the package but `CyclicOrder`, the object under
-comparison; `test_definitional_oracle_is_independent` keeps it that way.
+it. The table scans at the end are the reference for the validation of
+`FiniteQuandle` and `FiniteGroup`. It imports nothing from the package but
+`CyclicOrder`, the object under comparison;
+`test_definitional_oracle_is_independent` keeps it that way.
 """
 
 from __future__ import annotations
@@ -154,3 +157,73 @@ def left_invariance_witness(
 ) -> tuple[int, int, int, int] | None:
     """First (s, t1, t2, t3) with c(t1,t2,t3) != c(s*t1, s*t2, s*t3), or None."""
     return _invariance_witness(c, q, q.rows)
+
+
+# ---------------------------------------------------------------------------
+# the quandle and group axioms, scanned entry by entry and triple by triple
+
+
+def first_quandle_violation(table) -> tuple[str, tuple] | None:
+    """The first quandle axiom the table fails and its witness, as
+    `NotAQuandle` names them (`axiom`, `witness`), or None for a quandle.
+
+    The axioms are checked in order: a nonempty carrier; every row of n
+    entries, each in 0..n-1 (row-major order); x*x = x; every column a
+    permutation; (a*b)*c = (a*c)*(b*c) for every triple (a, b, c) in
+    lexicographic order.
+    """
+    n = len(table)
+    if n == 0:
+        return ("nonempty carrier", ())
+    for i, row in enumerate(table):
+        if len(row) != n:
+            return ("square table", (i,))
+        for j, v in enumerate(row):
+            if not (0 <= v < n):
+                return ("entry in range", (i, j))
+    for x in range(n):
+        if table[x][x] != x:
+            return ("idempotency", (x, x))
+    for j in range(n):
+        if sorted(table[i][j] for i in range(n)) != list(range(n)):
+            return ("right-bijectivity", (j,))
+    for a, b, c in product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[table[a][c]][table[b][c]]:
+            return ("right-distributivity", (a, b, c))
+    return None
+
+
+def first_group_violation(table, identity: int) -> tuple[str, tuple] | None:
+    """The first group axiom the table fails with this identity, and its
+    witness, as `NotAGroup` names them (`reason`, `witness`), or None.
+
+    The axioms are checked in order: a nonempty carrier; every row of n
+    entries, each in 0..n-1 (row-major order); every row, then every column,
+    a permutation; the identity a point with e*x = x*e = x for every x;
+    (a*b)*c = a*(b*c) for every triple (a, b, c) in lexicographic order.
+    """
+    n = len(table)
+    if n == 0:
+        return ("empty carrier", ())
+    for i, row in enumerate(table):
+        if len(row) != n:
+            return ("table is not square", (i,))
+        for j, v in enumerate(row):
+            if not (0 <= v < n):
+                return ("entry out of range", (i, j))
+    for i in range(n):
+        if sorted(table[i]) != list(range(n)):
+            return (f"row {i} is not a permutation", (i,))
+    for j in range(n):
+        if sorted(table[i][j] for i in range(n)) != list(range(n)):
+            return (f"column {j} is not a permutation", (j,))
+    e = identity
+    if not (0 <= e < n):
+        return ("identity index out of range", (e,))
+    for x in range(n):
+        if table[e][x] != x or table[x][e] != x:
+            return ("identity fails", (e, x))
+    for a, b, c in product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return ("associativity fails", (a, b, c))
+    return None

@@ -2,6 +2,7 @@ import math
 from itertools import permutations
 
 import pytest
+from definitional import first_group_violation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,8 +54,9 @@ class TestGroupFromTable:
             FiniteGroup([[1, 0], [0, 1]], identity=0)
 
     def test_associativity_failure_rejected(self):
-        with pytest.raises(NotAGroup, match="associativity"):
+        with pytest.raises(NotAGroup, match="associativity") as exc:
             FiniteGroup(NONASSOC_LOOP, identity=0)
+        assert exc.value.witness == (1, 1, 2)
 
     def test_s3_built_from_permutation_composition(self):
         # independent construction: compose the six permutations of 3 points
@@ -72,6 +74,89 @@ class TestGroupFromTable:
             for a in range(n):
                 assert sorted(g.mul(a, x) for x in range(n)) == list(range(n))
                 assert sorted(g.mul(x, a) for x in range(n)) == list(range(n))
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1 in
+    order: a loop with identity 0. Filled cell by cell, row-major."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield tuple(map(tuple, rows))
+            return
+        i, j = divmod(cell, n)
+        if i == 0 or j == 0:
+            yield from fill(cell + 1)
+            return
+        used = set(rows[i][:j]) | {rows[k][j] for k in range(i)}
+        for v in range(n):
+            if v not in used:
+                rows[i][j] = v
+                yield from fill(cell + 1)
+        rows[i][j] = None
+
+    return list(fill(0))
+
+
+class TestValidationOracle:
+    """The byte-table check against the definitional triple scan."""
+
+    def test_reduced_latin_squares_up_to_order_5(self):
+        # a reduced square is a group table with identity 0 exactly when it
+        # is associative: 1, 1, 1, 4 and 6 of the 1, 1, 1, 4 and 56 squares
+        accepted = []
+        for n in range(1, 6):
+            squares = reduced_latin_squares(n)
+            count = 0
+            for table in squares:
+                expected = first_group_violation(table, 0)
+                if expected is None:
+                    assert FiniteGroup(table, identity=0).table == table
+                    count += 1
+                else:
+                    assert expected[0] == "associativity fails"
+                    with pytest.raises(NotAGroup) as exc:
+                        FiniteGroup(table, identity=0)
+                    assert (exc.value.reason, exc.value.witness) == expected
+            accepted.append((count, len(squares)))
+        assert accepted == [(1, 1), (1, 1), (1, 1), (4, 4), (6, 56)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.integers(-1, n), min_size=n - 1, max_size=n + 1), min_size=n, max_size=n
+                ),
+                st.integers(-1, n),
+            )
+        )
+    )
+    def test_arbitrary_small_tables(self, case):
+        table, identity = case
+        expected = first_group_violation(table, identity)
+        if expected is None:
+            FiniteGroup(table, identity=identity)
+        else:
+            with pytest.raises(NotAGroup) as exc:
+                FiniteGroup(table, identity=identity)
+            assert (exc.value.reason, exc.value.witness) == expected
+
+    def test_scan_runs_only_after_a_failed_check(self, monkeypatch):
+        def no_scan(table):
+            raise AssertionError("the triple scan ran on a group")
+
+        monkeypatch.setattr(groups, "_scan_associativity", no_scan)
+        for g in (
+            cyclic_group(1),
+            cyclic_group(256),
+            symmetric_group(4),
+            direct_product(cyclic_group(2), symmetric_group(3)),
+        ):
+            FiniteGroup(g.table, g.identity)
+        with pytest.raises(AssertionError, match="triple scan"):
+            FiniteGroup(NONASSOC_LOOP, identity=0)
 
 
 class TestCyclicGroup:

@@ -1,4 +1,7 @@
+from itertools import permutations, product
+
 import pytest
+from definitional import first_quandle_violation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +17,7 @@ from quorder import (
     dihedral_quandle,
     direct_product,
     generalized_alexander_quandle,
+    generate_all_quandles,
     inner_group,
     is_involutory,
     is_latin,
@@ -62,6 +66,111 @@ class TestValidation:
         with pytest.raises(NotAQuandle) as exc:
             FiniteQuandle(bad)
         assert exc.value.axiom == "right-distributivity"
+        assert exc.value.witness == (0, 1, 0)
+
+
+def assert_validates_like_scan(table):
+    """FiniteQuandle accepts the table iff the reference scan does, and
+    otherwise raises the scan's axiom and witness."""
+    expected = first_quandle_violation(table)
+    if expected is None:
+        assert FiniteQuandle(table).table == tuple(map(tuple, table))
+    else:
+        with pytest.raises(NotAQuandle) as exc:
+            FiniteQuandle(table)
+        assert (exc.value.axiom, exc.value.witness) == expected
+
+
+def relabel(table, p):
+    """The table with every point x renamed p[x]."""
+    out = [[0] * len(table) for _ in table]
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            out[p[i]][p[j]] = p[v]
+    return out
+
+
+@st.composite
+def relabelled_or_transposed(draw, tables):
+    """A random relabelling of one of the tables, and in half the draws one
+    transposition of two off-diagonal entries within a column: the diagonal
+    stays fixed and the columns stay bijective, so only distributivity can
+    fail."""
+    table = draw(st.sampled_from(tables))
+    n = len(table)
+    out = relabel(table, draw(st.permutations(range(n))))
+    if n >= 3 and draw(st.booleans()):
+        c = draw(st.integers(0, n - 1))
+        i, j = draw(st.lists(st.integers(0, n - 1).filter(lambda x: x != c), min_size=2, max_size=2, unique=True))
+        out[i][c], out[j][c] = out[j][c], out[i][c]
+    return out
+
+
+ORDER_5_CLASSES = [q.table for n in range(1, 6) for q in generate_all_quandles(n, up_to_iso=True)]
+DIHEDRAL_36 = [quandle_from_builtin("dihedral:36").table]
+
+
+class TestValidationOracle:
+    """The byte-table check against the definitional triple scan."""
+
+    def test_every_table_with_idempotent_bijective_columns_up_to_order_4(self):
+        # column c is any permutation fixing c; the quandles among these
+        # tables are exactly the labelled quandles: 1, 1, 5 and 36
+        accepted = []
+        for n in range(1, 5):
+            choices = [[p for p in permutations(range(n)) if p[c] == c] for c in range(n)]
+            count = 0
+            for cols in product(*choices):
+                table = [[cols[j][i] for j in range(n)] for i in range(n)]
+                assert_validates_like_scan(table)
+                count += first_quandle_violation(table) is None
+            accepted.append(count)
+        assert accepted == [1, 1, 5, 36]
+
+    @settings(max_examples=150, deadline=None)
+    @given(relabelled_or_transposed(ORDER_5_CLASSES))
+    def test_relabelled_classes_up_to_order_5(self, table):
+        assert_validates_like_scan(table)
+
+    @settings(max_examples=15, deadline=None)
+    @given(relabelled_or_transposed(DIHEDRAL_36))
+    def test_relabelled_dihedral_36(self, table):
+        assert_validates_like_scan(table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-1, n), min_size=n - 1, max_size=n + 1), min_size=n, max_size=n
+            )
+        )
+    )
+    def test_arbitrary_small_tables(self, table):
+        # ragged rows and out-of-range entries reach the row-major scan
+        assert_validates_like_scan(table)
+
+    def test_above_the_byte_range_the_scan_decides(self):
+        # dihedral:257 with 0*2 and 1*2 swapped: 257 points do not fit in a
+        # byte, so the triple scan alone finds the failure, at an early triple
+        n = 257
+        table = [[(2 * j - i) % n for j in range(n)] for i in range(n)]
+        table[0][2], table[1][2] = table[1][2], table[0][2]
+        with pytest.raises(NotAQuandle) as exc:
+            FiniteQuandle(table)
+        assert (exc.value.axiom, exc.value.witness) == ("right-distributivity", (0, 1, 2))
+        assert first_quandle_violation(table) == ("right-distributivity", (0, 1, 2))
+
+    def test_scan_runs_only_after_a_failed_check(self, monkeypatch, labeled_catalog):
+        def no_scan(table):
+            raise AssertionError("the triple scan ran on a quandle")
+
+        monkeypatch.setattr(quandles, "_scan_distributivity", no_scan)
+        for q in [q for qs in labeled_catalog.values() for q in qs] + [
+            quandle_from_builtin(spec) for spec in ("dihedral:36", "conj:s4", "core:s5", "dihedral:256")
+        ]:
+            FiniteQuandle(q.table)
+        with pytest.raises(AssertionError, match="triple scan"):
+            FiniteQuandle([[0, 2, 0], [2, 1, 1], [1, 0, 2]])
 
 
 class TestFamilies:

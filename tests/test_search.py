@@ -258,6 +258,21 @@ class TestDecisions:
         with pytest.raises(ValueError):
             Verdict(False)
 
+    def test_non_injective_left_names_the_first_repeat(self, labeled_catalog):
+        # the first row with a repeated value, the first position t whose value
+        # appeared before, and that value's first position
+        specs = ("trivial:5", "conj:s4", "core:s4", "dihedral:25", "affine:11:2")
+        for q in [q for qs in labeled_catalog.values() for q in qs] + [quandle_from_builtin(s) for s in specs]:
+            expected = None
+            for s, row in enumerate(q.rows):
+                repeats = [t for t in range(q.size) if row[t] in row[:t]]
+                if repeats:
+                    t = repeats[0]
+                    expected = {"base": s, "pair": [row.index(row[t]), t], "image": row[t]}
+                    break
+            cert = search._first_non_injective_left(q)
+            assert (cert and cert.data) == expected, q.table
+
 
 class TestCertificates:
     def test_certificates_recheck(self, labeled_catalog):
