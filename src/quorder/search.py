@@ -75,7 +75,7 @@ class SearchCaps:
 
 DEFAULT_CAPS = SearchCaps()
 ORACLE_MAX_N = 6  # auto decisions cross-check against brute force up to this n
-MAX_GENERATE_N = 5  # quandles are generated up to this order
+MAX_GENERATE_N = 7  # quandles are generated up to this order
 
 # certificate kinds
 NON_INJECTIVE_LEFT = "non-injective-left-translation"
@@ -675,7 +675,13 @@ def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
     Each space is scanned once per class: its size is the brute tier's
     filter of the ground set (the one `brute_space` applies), and its flag
     is the fast path's answer, diffed against that size on every class.
+    BCO is RCO ∩ LCO by definition, so its members are the arrangements
+    both of those filters kept, and no arrangement is tested for it again.
+    A max_n above MAX_GENERATE_N raises ResourceLimit before any order is
+    generated.
     """
+    if max_n > MAX_GENERATE_N:
+        raise ResourceLimit("quandle generation", max_n, MAX_GENERATE_N)
     records = []
     for n in range(1, max_n + 1):
         classes = generate_all_quandles(n, up_to_iso=True)
@@ -684,9 +690,13 @@ def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
             if s.ground not in grounds:
                 grounds[s.ground] = s.ground(n, caps)
         for class_id, q in enumerate(classes):
-            flags, sizes = {}, {}
+            flags, sizes, members = {}, {}, {}
             for kind, s in SPACES.items():
-                size = len(_filter(s, q, grounds[s.ground]))
+                if kind == "BCO":  # RCO and LCO come first in SPACES
+                    members[kind] = set(members["RCO"]).intersection(members["LCO"])
+                else:
+                    members[kind] = _filter(s, q, grounds[s.ground])
+                size = len(members[kind])
                 flag = DECIDERS[s.prop](q, strategy="fast", caps=caps).answer
                 _agree(kind, flag, size > 0)
                 flags[s.flag] = flag

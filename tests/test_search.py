@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import cached_property
 from itertools import permutations, product
 
 import pytest
@@ -570,12 +571,17 @@ class TestCatalog:
     def test_labeled_counts_frozen(self, labeled_catalog):
         assert [len(labeled_catalog[n]) for n in (1, 2, 3, 4)] == [1, 1, 5, 36]
 
-    def test_class_counts(self, class_catalog):
-        assert [len(class_catalog[n]) for n in (1, 2, 3, 4, 5)] == [1, 1, 3, 7, 22]
+    def test_class_counts(self, class_catalog, order6_classes):
+        # OEIS A181769
+        counts = [len(class_catalog[n]) for n in (1, 2, 3, 4, 5)] + [len(order6_classes)]
+        assert counts == [1, 1, 3, 7, 22, 73]
 
     def test_generation_cap(self):
-        with pytest.raises(ResourceLimit):
-            generate_all_quandles(6)
+        assert search.MAX_GENERATE_N == 7
+        for up_to_iso in (False, True):
+            with pytest.raises(ResourceLimit) as info:
+                generate_all_quandles(8, up_to_iso=up_to_iso)
+            assert (info.value.requested, info.value.cap) == (8, 7)
 
     def test_known_members_appear(self, labeled_catalog):
         tables3 = {q.table for q in labeled_catalog[3]}
@@ -650,9 +656,28 @@ class TestOrderlyGeneration:
                 relabelled = _relabel(q, sigma)
                 assert canonical_form(relabelled) == _canonical_by_scan(relabelled), (q.table, sigma)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_canonical_form_equals_full_scan_on_random_relabellings(self, class_catalog, order6_classes, n, data):
+        # every class of the order, each under its own drawn relabelling; the
+        # form is the class's catalogue table, which the orderly search
+        # returns as its form
+        classes = order6_classes if n == 6 else class_catalog[n]
+        for q in classes:
+            relabelled = _relabel(q, data.draw(st.permutations(range(n))))
+            assert canonical_form(relabelled) == _canonical_by_scan(relabelled) == q.table
 
-def _refuse_scan(points):
+
+def _refuse_scan(*args):
     raise AssertionError("a canonical-form scan started")
+
+
+def _compute_canonical_forms_by(monkeypatch, compute):
+    """From now on every canonical form not yet cached is compute(q)."""
+    prop = cached_property(compute)
+    prop.__set_name__(FiniteQuandle, "canonical_table")
+    monkeypatch.setattr(FiniteQuandle, "canonical_table", prop)
 
 
 class TestIsomorphism:
@@ -694,22 +719,22 @@ class TestIsomorphism:
 
     def test_order_5_generation_scans_once_per_table_found(self, monkeypatch):
         scans, found = [], []
-        scan, column_search = quandles.permutations, search._column_search
+        form, column_search = FiniteQuandle.canonical_table.func, search._column_search
 
-        def counted_scan(points):
-            scans.append(len(points))
-            return scan(points)
+        def counted_form(q):
+            scans.append(q.table)
+            return form(q)
 
         def counted_search(candidates):
             tables = column_search(candidates)
             found.extend(tables)
             return tables
 
-        monkeypatch.setattr(quandles, "permutations", counted_scan)
+        _compute_canonical_forms_by(monkeypatch, counted_form)
         monkeypatch.setattr(search, "_column_search", counted_search)
         assert len(generate_all_quandles(5, up_to_iso=True)) == 22
         assert len(scans) == len(found) == 36
-        assert set(scans) == {5}
+        assert sorted(scans) == sorted(search._transpose(cols) for cols in found)
 
     def test_isomorphism_of_quandles_with_cached_forms_runs_no_scan(self, monkeypatch):
         q = dihedral_quandle(5)
@@ -717,7 +742,7 @@ class TestIsomorphism:
         other = quandle_from_builtin("affine:5:2")
         for x in (q, relabelled, other):
             canonical_form(x)
-        monkeypatch.setattr(quandles, "permutations", _refuse_scan)
+        _compute_canonical_forms_by(monkeypatch, _refuse_scan)
         assert are_isomorphic(q, relabelled)
         assert not are_isomorphic(q, other)
         assert canonical_form(relabelled) == canonical_form(q)
@@ -844,6 +869,13 @@ class TestCensus:
             # closure of rankings into cycles can only shrink the count
             assert record["ro_size"] >= record["rco_size"] or record["rco_size"] <= 1
 
+    def test_census_sizes_equal_the_brute_spaces(self):
+        # census takes BCO as RCO ∩ LCO; brute_space filters every space itself
+        for record in census(5):
+            q = FiniteQuandle(record["representative_table"])
+            for kind in SPACES:
+                assert record[f"{kind.lower()}_size"] == len(brute_space(kind, q)), (kind, q.table)
+
     def test_census_scans_each_space_once(self, monkeypatch):
         expected = census(3)
 
@@ -891,9 +923,14 @@ class TestCensus:
         assert info.value.verdicts == {"fast": False, "brute": True}
         assert "disagree on right-circular orderability" in str(info.value)
 
-    def test_census_respects_generation_cap(self):
-        with pytest.raises(ResourceLimit):
-            census(6)
+    def test_census_respects_generation_cap(self, monkeypatch):
+        def refuse(n, up_to_iso):
+            raise AssertionError("census generated an order before checking the cap")
+
+        monkeypatch.setattr(search, "generate_all_quandles", refuse)
+        with pytest.raises(ResourceLimit) as info:
+            census(8)
+        assert (info.value.requested, info.value.cap) == (8, 7)
 
 
 def _fast_summary(v: Verdict) -> tuple:
