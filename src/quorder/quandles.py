@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, permutations, product
-from typing import Iterator, Sequence
+from itertools import chain, permutations
+from typing import Sequence
 
 from .errors import NotAQuandle, NotInvertible, ResourceLimit
 from .groups import (
@@ -32,7 +32,6 @@ from .groups import (
 from .radix import decode_mixed, encode_mixed
 
 MAX_CANONICAL_N = 8  # canonical forms (n! relabellings) are computed up to this order
-RESTRICT_FROM_N = 5  # canonical forms try only the relabellings that can give the least row 0 from this order
 
 
 @dataclass(frozen=True)
@@ -90,77 +89,51 @@ class FiniteQuandle:
     @cached_property
     def canonical_table(self) -> tuple[tuple[int, ...], ...]:
         """Lexicographically least relabelling of the table, equal across an
-        isomorphism class: the least over all n! relabellings p, which send
-        entry (i, j) = v to (p[i], p[j]) = p[v].
-
-        A relabelling is held as the byte string ib of the old points in
-        new-label order (ib = p^-1), and pt = bytes.maketrans(ib, ident)
-        sends old points to new labels (pt = p), so row i of the relabelled
-        table is ib.translate(rows[ib[i]]).translate(pt): old row ib[i],
-        read in new-label order, relabelled. The rows are byte strings,
-        which compare as the tuples of ints do. A candidate is dropped at
-        the first row that exceeds the same row of the least table so far,
-        since the rows after it cannot make it smaller, and only the
-        candidates `_relabellings` yields are tried.
+        isomorphism class (`_least_relabelling`).
 
         Computed on first use and kept. A carrier of more than
         MAX_CANONICAL_N points raises ResourceLimit before the scan starts.
         """
-        table, n = self.table, self.size
-        if n > MAX_CANONICAL_N:
-            raise ResourceLimit("canonical form", n, MAX_CANONICAL_N)
-        ident = bytes(range(n))
-        rows = [bytes(row).ljust(BYTE_N, b"\0") for row in table]
-        maketrans = bytes.maketrans
-        best = [b"\xff" * n] * n  # above every row of a relabelling
-        for ib in _relabellings(table):
-            pt = maketrans(ib, ident)
-            row = ib.translate(rows[ib[0]]).translate(pt)
-            if row > best[0]:
-                continue
-            cand = [row]
-            tied = row == best[0]  # every row so far equals best's
-            for i in range(1, n):
-                row = ib.translate(rows[ib[i]]).translate(pt)
-                if tied:
-                    if row > best[i]:
-                        break
-                    tied = row == best[i]
-                cand.append(row)
-            else:
-                best = cand
-        return tuple(map(tuple, best))
+        if self.size > MAX_CANONICAL_N:
+            raise ResourceLimit("canonical form", self.size, MAX_CANONICAL_N)
+        return _least_relabelling(self.table)
 
 
-def _relabellings(table) -> Iterator[bytes]:
-    """The relabellings that can give the least table, each as the byte
-    string of the old points in new-label order.
+def _least_relabelling(table) -> tuple[tuple[int, ...], ...]:
+    """The least of the n! relabellings p of the table, row-major, where p
+    sends entry (i, j) = v to (p[i], p[j]) = p[v].
 
-    Row 0 of a relabelling that gives x the label 0 holds a 0 exactly at
-    the labels of x's fibre {y : x*y = x}, which contains x. So the least
-    row 0 opens with z zeros, z the largest fibre size: label 0 goes to a
-    point x whose fibre has z points, labels 1..z-1 to the rest of that
-    fibre, and labels z..n-1 to the other points, each part in every
-    order. Below order RESTRICT_FROM_N all n! relabellings are tried, since
-    there the restriction costs more to set up than it saves.
+    A relabelling is held as the byte string ib of the old points in
+    new-label order (ib = p^-1), and pt = bytes.maketrans(ib, ident) sends
+    old points to new labels (pt = p), so row i of the relabelled table is
+    ib.translate(rows[ib[i]]).translate(pt): old row ib[i], read in
+    new-label order, relabelled. The rows are byte strings, which compare
+    as the tuples of ints do. A candidate is dropped at the first row that
+    exceeds the same row of the least table so far, since the rows after it
+    cannot make it smaller.
     """
     n = len(table)
-    if n < RESTRICT_FROM_N:
-        return map(bytes, permutations(range(n)))
-    sizes = list(map(tuple.count, table, range(n)))  # row x holds x once per fibre point
-    z = max(sizes)
-    return chain.from_iterable(
-        map(
-            b"".join,
-            product(
-                (bytes((x,)),),
-                map(bytes, permutations([y for y in range(n) if row[y] == x != y])),
-                map(bytes, permutations([y for y in range(n) if row[y] != x])),
-            ),
-        )
-        for x, row in enumerate(table)
-        if sizes[x] == z
-    )
+    ident = bytes(range(n))
+    rows = [bytes(row).ljust(BYTE_N, b"\0") for row in table]
+    maketrans = bytes.maketrans
+    best = [b"\xff" * n] * n  # above every row of a relabelling
+    for ib in map(bytes, permutations(ident)):
+        pt = maketrans(ib, ident)
+        row = ib.translate(rows[ib[0]]).translate(pt)
+        if row > best[0]:
+            continue
+        cand = [row]
+        tied = row == best[0]  # every row so far equals best's
+        for i in range(1, n):
+            row = ib.translate(rows[ib[i]]).translate(pt)
+            if tied:
+                if row > best[i]:
+                    break
+                tied = row == best[i]
+            cand.append(row)
+        else:
+            best = cand
+    return tuple(map(tuple, best))
 
 
 def _distributive_side(col: bytes, maps: list[bytes]) -> bytes:
