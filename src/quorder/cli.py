@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
 from itertools import product
 
 from .corders import CyclicOrder, LinearOrder, circular_from_linear
@@ -56,6 +55,7 @@ from .search import (
     subbasic_circular,
     subbasic_linear,
 )
+from .values import Value
 
 PROPERTIES = tuple(_DECIDERS)
 
@@ -383,18 +383,29 @@ def verify_paper(caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
 # run configuration and dispatch
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    builtin: str | None = None
-    prop: str | None = None
-    strategy: str = "auto"
-    caps: SearchCaps = DEFAULT_CAPS
-    max_order: int = 4
-    fail_on_no: bool = False
-    pretty: bool = False
-    output: str | None = None
+class RunConfig(Value):
+    _fields = (
+        "command", "input_path", "builtin", "prop", "strategy",
+        "caps", "max_order", "fail_on_no", "pretty", "output",
+    )
+
+    def __init__(
+        self,
+        command: str,
+        input_path: str | None = None,
+        builtin: str | None = None,
+        prop: str | None = None,
+        strategy: str = "auto",
+        caps: SearchCaps = DEFAULT_CAPS,
+        max_order: int = 4,
+        fail_on_no: bool = False,
+        pretty: bool = False,
+        output: str | None = None,
+    ):
+        self.__dict__.update(
+            command=command, input_path=input_path, builtin=builtin, prop=prop, strategy=strategy,
+            caps=caps, max_order=max_order, fail_on_no=fail_on_no, pretty=pretty, output=output,
+        )
 
 
 def _load_quandle(config: RunConfig) -> FiniteQuandle:
@@ -547,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     caps = DEFAULT_CAPS
     if getattr(args, "max_enum", None) is not None:
-        caps = replace(caps, max_circular_n=args.max_enum, max_linear_n=args.max_enum)
+        caps = SearchCaps(args.max_enum, args.max_enum)
     return RunConfig(
         command=args.command,
         input_path=getattr(args, "input", None),

@@ -19,30 +19,41 @@ these tests are checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 from .groups import invert
 from .quandles import FiniteQuandle
+from .values import Value
 
 
-@dataclass(frozen=True)
-class CyclicOrder:
+class CyclicOrder(Value):
     """A circular ordering given by its canonical cyclic arrangement."""
 
-    arrangement: tuple[int, ...]
+    _fields = ("arrangement",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "arrangement", tuple(self.arrangement))
-        n = len(self.arrangement)
+    def __init__(self, arrangement: Sequence[int]):
+        arrangement = tuple(arrangement)
+        n = len(arrangement)
         if n == 0:
             raise ValueError("empty arrangement")
-        if sorted(self.arrangement) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.arrangement}")
-        if self.arrangement[0] != 0:
+        if sorted(arrangement) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {arrangement}")
+        if arrangement[0] != 0:
             raise ValueError("canonical arrangements start at element 0")
+        # object.__setattr__ keeps the value inline in the instance, where
+        # attribute reads are faster than from a materialised __dict__
+        object.__setattr__(self, "arrangement", arrangement)
+
+    # hashed and compared in the enumeration loops, so written out
+    def __eq__(self, other):
+        if other.__class__ is CyclicOrder:
+            return self.arrangement == other.arrangement
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.arrangement,))
 
     @classmethod
     def from_cycle(cls, seq: Sequence[int]) -> "CyclicOrder":
@@ -70,19 +81,27 @@ class CyclicOrder:
         return 1 if ry < rz else -1
 
 
-@dataclass(frozen=True)
-class LinearOrder:
+class LinearOrder(Value):
     """A strict total order given as the ranking from least to greatest."""
 
-    ranking: tuple[int, ...]
+    _fields = ("ranking",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "ranking", tuple(self.ranking))
-        n = len(self.ranking)
+    def __init__(self, ranking: Sequence[int]):
+        ranking = tuple(ranking)
+        n = len(ranking)
         if n == 0:
             raise ValueError("empty ranking")
-        if sorted(self.ranking) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.ranking}")
+        if sorted(ranking) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {ranking}")
+        object.__setattr__(self, "ranking", ranking)
+
+    def __eq__(self, other):
+        if other.__class__ is LinearOrder:
+            return self.ranking == other.ranking
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ranking,))
 
     @property
     def size(self) -> int:

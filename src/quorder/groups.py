@@ -14,13 +14,13 @@ that size, and after a failed comparison to find the first failing triple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain, combinations, permutations
-from typing import Iterable, Sequence
 
 from .errors import NotAGroup, NotAnAutomorphism, NotAPermutation, ResourceLimit
 from .radix import decode_mixed, encode_mixed
+from .values import Value
 
 Perm = tuple[int, ...]
 
@@ -131,8 +131,7 @@ def _scan_associativity(table) -> None:
 # Cayley-table groups
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Value):
     """Group on {0..n-1} given by its full multiplication table.
 
     Construction validates every axiom eagerly (rows and columns are
@@ -143,13 +142,12 @@ class FiniteGroup:
     (a, b, c) in lexicographic order.
     """
 
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    name: str | None = field(default=None, compare=False)
+    _fields = ("table", "identity", "name")
+    _compared = ("table", "identity")
 
-    def __post_init__(self):
-        table = tuple(map(tuple, self.table))
-        object.__setattr__(self, "table", table)
+    def __init__(self, table: Sequence[Sequence[int]], identity: int, name: str | None = None):
+        table = tuple(map(tuple, table))
+        self.__dict__.update(table=table, identity=identity, name=name)
         n = len(table)
         if n == 0:
             raise NotAGroup("empty carrier")
@@ -166,7 +164,7 @@ class FiniteGroup:
         for j, col in enumerate(zip(*table)):
             if len(set(col)) != n:
                 raise NotAGroup(f"column {j} is not a permutation", (j,))
-        e = self.identity
+        e = identity
         if not (0 <= e < n):
             raise NotAGroup("identity index out of range", (e,))
         for x in range(n):
@@ -238,22 +236,20 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(tuple(table), e, name=name)
 
 
-@dataclass(frozen=True)
-class GroupAutomorphism:
+class GroupAutomorphism(Value):
     """A bijection of the carrier preserving the group operation."""
 
-    group: FiniteGroup
-    map: tuple[int, ...]
+    _fields = ("group", "map")
 
-    def __post_init__(self):
-        object.__setattr__(self, "map", tuple(self.map))
-        n = self.group.size
-        if not is_permutation(self.map, n):
+    def __init__(self, group: FiniteGroup, map: Sequence[int]):
+        m = tuple(map)
+        self.__dict__.update(group=group, map=m)
+        n = group.size
+        if not is_permutation(m, n):
             raise NotAnAutomorphism("map is not a bijection")
-        m = self.map
         for x in range(n):
             for y in range(n):
-                if m[self.group.mul(x, y)] != self.group.mul(m[x], m[y]):
+                if m[group.mul(x, y)] != group.mul(m[x], m[y]):
                     raise NotAnAutomorphism("map does not preserve products", (x, y))
 
     def __call__(self, x: int) -> int:
@@ -278,25 +274,24 @@ def scaling_automorphism(g: FiniteGroup, alpha: int) -> GroupAutomorphism:
 # permutation groups
 
 
-@dataclass(frozen=True)
-class PermutationGroup:
+class PermutationGroup(Value):
     """A set of permutations of {0..degree-1} closed under the group operations.
 
     ``generators`` records the generators `closure` kept; it plays no part in
     equality, which is by degree and element set.
     """
 
-    degree: int
-    elements: frozenset[Perm]
-    generators: tuple[Perm, ...] = field(default=(), compare=False)
+    _fields = ("degree", "elements", "generators")
+    _compared = ("degree", "elements")
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", frozenset(tuple(p) for p in self.elements))
-        for p in self.elements:
-            if not is_permutation(p, self.degree):
+    def __init__(self, degree: int, elements: Iterable[Perm], generators: tuple[Perm, ...] = ()):
+        elements = frozenset(tuple(p) for p in elements)
+        self.__dict__.update(degree=degree, elements=elements, generators=generators)
+        for p in elements:
+            if not is_permutation(p, degree):
                 raise NotAPermutation(p)
-        if identity_perm(self.degree) not in self.elements:
-            raise NotAPermutation(identity_perm(self.degree))
+        if identity_perm(degree) not in elements:
+            raise NotAPermutation(identity_perm(degree))
 
     @property
     def order(self) -> int:

@@ -12,10 +12,9 @@ above that, or after that check fails, to name the first failing triple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, permutations
-from typing import Sequence
 
 from .errors import NotAQuandle, NotInvertible, ResourceLimit
 from .groups import (
@@ -30,12 +29,12 @@ from .groups import (
     identity_perm,
 )
 from .radix import decode_mixed, encode_mixed
+from .values import Value
 
 MAX_CANONICAL_N = 8  # canonical forms (n! relabellings) are computed up to this order
 
 
-@dataclass(frozen=True)
-class FiniteQuandle:
+class FiniteQuandle(Value):
     """Quandle on {0..n-1}, entry (i, j) = i*j; a bad table raises NotAQuandle.
 
     NotAQuandle names the first axiom that fails and its first witness: a
@@ -46,15 +45,13 @@ class FiniteQuandle:
     the witness.
     """
 
-    table: tuple[tuple[int, ...], ...]
-    name: str | None = field(default=None, compare=False)
-    # right-translation maps, columns[s][t] = t*s; read off during validation
-    columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _fields = ("table", "name")
+    _compared = ("table",)
 
-    def __post_init__(self):
-        table = tuple(map(tuple, self.table))
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "columns", tuple(zip(*table)))
+    def __init__(self, table: Sequence[Sequence[int]], name: str | None = None):
+        table = tuple(map(tuple, table))
+        # right-translation maps, columns[s][t] = t*s; read off during validation
+        self.__dict__.update(table=table, name=name, columns=tuple(zip(*table)))
         n = len(table)
         if n == 0:
             raise NotAQuandle("nonempty carrier", ())

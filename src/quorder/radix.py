@@ -7,7 +7,7 @@ factor varies fastest, so a pair (a, b) over sizes (p, q) packs to a*q + b.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 
 def encode_mixed(digits: Sequence[int], sizes: Sequence[int]) -> int:

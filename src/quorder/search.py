@@ -33,9 +33,8 @@ when their forms are equal, and each class is reported as its form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from itertools import permutations
-from typing import Callable
 
 from .corders import (
     CyclicOrder,
@@ -58,10 +57,10 @@ from .groups import Perm, cycle_type
 from .groups import closure, is_cyclic, is_semiregular  # noqa: F401
 from .quandles import FiniteQuandle, is_involutory, is_latin, is_trivial_quandle
 from .quandles import orbits as quandle_orbits
+from .values import Value
 
 
-@dataclass(frozen=True)
-class SearchCaps:
+class SearchCaps(Value):
     """Ground-set limits (the CLI's --max-enum); exceeding one raises ResourceLimit.
 
     They bound output, not work: `enumerate_space` checks them only when a
@@ -69,8 +68,11 @@ class SearchCaps:
     any carrier. The brute tier checks them before every scan.
     """
 
-    max_circular_n: int = 10  # (n-1)! arrangements listed up to this n
-    max_linear_n: int = 8  # n! rankings listed up to this n
+    _fields = ("max_circular_n", "max_linear_n")
+
+    # (n-1)! arrangements and n! rankings are listed up to these n
+    def __init__(self, max_circular_n: int = 10, max_linear_n: int = 8):
+        self.__dict__.update(max_circular_n=max_circular_n, max_linear_n=max_linear_n)
 
 
 DEFAULT_CAPS = SearchCaps()
@@ -84,36 +86,49 @@ NON_IDENTITY_LEFT = "non-identity-left-translation"
 EXHAUSTED = "exhaustive-search"
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Structural reason backing a negative verdict, with checkable data."""
+class Certificate(Value):
+    """Structural reason backing a negative verdict, with checkable data.
 
-    kind: str
-    data: dict
-    detail: str
+    Unhashable, since `data` is a dict.
+    """
+
+    _fields = ("kind", "data", "detail")
+
+    def __init__(self, kind: str, data: dict, detail: str):
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["data"] = data
+        fields["detail"] = detail
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """Decision result: a witness when yes, a certificate when no."""
 
-    answer: bool
-    witness: CyclicOrder | LinearOrder | None = None
-    certificate: Certificate | None = None
+    _fields = ("answer", "witness", "certificate")
 
-    def __post_init__(self):
-        if self.answer and self.witness is None:
+    def __init__(
+        self,
+        answer: bool,
+        witness: CyclicOrder | LinearOrder | None = None,
+        certificate: Certificate | None = None,
+    ):
+        if answer and witness is None:
             raise ValueError("positive verdict requires a witness")
-        if not self.answer and self.certificate is None:
+        if not answer and certificate is None:
             raise ValueError("negative verdict requires a certificate")
+        fields = self.__dict__
+        fields["answer"] = answer
+        fields["witness"] = witness
+        fields["certificate"] = certificate
 
 
-@dataclass(frozen=True)
-class OrderSpace:
+class OrderSpace(Value):
     """A fully enumerated, canonically sorted order space of a quandle."""
 
-    kind: str  # RCO | LCO | BCO | RO | LO
-    members: tuple
+    _fields = ("kind", "members")  # kind: RCO | LCO | BCO | RO | LO
+
+    def __init__(self, kind: str, members: tuple):
+        self.__dict__.update(kind=kind, members=members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -231,21 +246,28 @@ def _fast_left(q: FiniteQuandle, circle: bool) -> Verdict:
 # the order spaces
 
 
-@dataclass(frozen=True)
-class _Space:
+class _Space(Value):
     """One order space: a ground set filtered by a translation test.
 
     The callables look their callees up as module globals when called, so a
     rebinding of, say, `is_right_invariant` is seen by every space using it.
     """
 
-    ground: Callable[[int, SearchCaps], tuple]
-    member: Callable[[CyclicOrder | LinearOrder, FiniteQuandle], bool]
-    fast: Callable[[FiniteQuandle], Verdict]
-    prop: str  # CLI property name
-    flag: str  # census field holding the decision
-    label: str  # what a decision decides
-    exhausted: str  # brute-force refutation, given the ground size
+    _fields = ("ground", "member", "fast", "prop", "flag", "label", "exhausted")
+
+    def __init__(
+        self,
+        ground: Callable[[int, SearchCaps], tuple],
+        member: Callable[[CyclicOrder | LinearOrder, FiniteQuandle], bool],
+        fast: Callable[[FiniteQuandle], Verdict],
+        prop: str,  # CLI property name
+        flag: str,  # census field holding the decision
+        label: str,  # what a decision decides
+        exhausted: str,  # brute-force refutation, given the ground size
+    ):
+        self.__dict__.update(
+            ground=ground, member=member, fast=fast, prop=prop, flag=flag, label=label, exhausted=exhausted
+        )
 
 
 def _circular(n: int, caps: SearchCaps) -> tuple[CyclicOrder, ...]:
@@ -508,14 +530,19 @@ def subbasic_linear(
 # the ranking -> circular ordering map with fibers
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(Value):
     """Image and fiber partition of closing every ranking into a cycle."""
 
-    side: str
-    domain: tuple[LinearOrder, ...]
-    image: tuple[CyclicOrder, ...]
-    fibers: tuple[tuple[CyclicOrder, tuple[LinearOrder, ...]], ...]
+    _fields = ("side", "domain", "image", "fibers")
+
+    def __init__(
+        self,
+        side: str,
+        domain: tuple[LinearOrder, ...],
+        image: tuple[CyclicOrder, ...],
+        fibers: tuple[tuple[CyclicOrder, tuple[LinearOrder, ...]], ...],
+    ):
+        self.__dict__.update(side=side, domain=domain, image=image, fibers=fibers)
 
     @property
     def domain_size(self) -> int:

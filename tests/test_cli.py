@@ -3,12 +3,13 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
-from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quorder
 from quorder import (
     FiniteGroup,
     FiniteQuandle,
@@ -479,7 +480,8 @@ class TestMain:
         wrong = search.Verdict(
             False, certificate=search.Certificate(search.EXHAUSTED, {"checked": 0}, "wrong")
         )
-        monkeypatch.setitem(search.SPACES, "RCO", replace(search.SPACES["RCO"], fast=lambda q: wrong))
+        rco = {**vars(search.SPACES["RCO"]), "fast": lambda q: wrong}
+        monkeypatch.setitem(search.SPACES, "RCO", search._Space(**rco))
         argv = ["check", "--builtin", "trivial:3", "--property", "right-circular", "--fail-on-no"]
         assert main(argv) == 4
         error = json.loads(capsys.readouterr().out)["error"]
@@ -491,7 +493,8 @@ class TestMain:
         wrong = search.Verdict(
             False, certificate=search.Certificate(search.EXHAUSTED, {"checked": 0}, "wrong")
         )
-        monkeypatch.setitem(search.SPACES, "RCO", replace(search.SPACES["RCO"], fast=lambda q: wrong))
+        rco = {**vars(search.SPACES["RCO"]), "fast": lambda q: wrong}
+        monkeypatch.setitem(search.SPACES, "RCO", search._Space(**rco))
         assert main(["census", "--max-order", "3"]) == 4
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["kind"] == "internal-inconsistency"
@@ -545,6 +548,24 @@ class TestInputBounds:
         assert proc.returncode == 3
         assert error["kind"] == "resource-limit"
         assert error["detail"].startswith("carrier size")
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # a fresh interpreter without site, which may load typing itself; the
+    # modules already loaded before the import are not counted
+    src = str(Path(quorder.__file__).parents[1])
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import quorder.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "quorder.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "typing"}), sorted(added)
 
 
 # builtin specs: the family grammar with integers up to 12, and any text

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
@@ -244,7 +243,8 @@ class TestDecisions:
 
     def test_disagreeing_tiers_raise_internal_inconsistency(self, monkeypatch):
         wrong = Verdict(False, certificate=Certificate(EXHAUSTED, {"checked": 0}, "wrong"))
-        monkeypatch.setitem(search.SPACES, "RCO", replace(search.SPACES["RCO"], fast=lambda q: wrong))
+        rco = {**vars(search.SPACES["RCO"]), "fast": lambda q: wrong}
+        monkeypatch.setitem(search.SPACES, "RCO", search._Space(**rco))
         with pytest.raises(InternalInconsistency) as info:
             decide_right_circular(trivial_quandle(3))
         assert info.value.space == "RCO"
@@ -469,7 +469,8 @@ class TestEmbedding:
         )
 
     def test_failed_recheck_raises_internal_inconsistency(self, monkeypatch):
-        monkeypatch.setitem(search.SPACES, "RCO", replace(search.SPACES["RCO"], member=lambda c, q: False))
+        rco = {**vars(search.SPACES["RCO"]), "member": lambda c, q: False}
+        monkeypatch.setitem(search.SPACES, "RCO", search._Space(**rco))
         with pytest.raises(InternalInconsistency) as info:
             embedding_image(trivial_quandle(3), "right")
         assert info.value.space == "RCO"
@@ -905,7 +906,8 @@ class TestCensus:
 
     def test_census_diffs_fast_path_against_enumeration(self, monkeypatch):
         wrong = Verdict(False, certificate=Certificate(EXHAUSTED, {"checked": 0}, "wrong"))
-        monkeypatch.setitem(search.SPACES, "RCO", replace(search.SPACES["RCO"], fast=lambda q: wrong))
+        rco = {**vars(search.SPACES["RCO"]), "fast": lambda q: wrong}
+        monkeypatch.setitem(search.SPACES, "RCO", search._Space(**rco))
         with pytest.raises(InternalInconsistency) as info:
             census(3)
         assert info.value.space == "RCO"
