@@ -508,13 +508,36 @@ def render_report(report: dict, pretty: bool = False) -> str:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, with_input: bool, with_property: bool) -> None:
-    if with_input:
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--input", metavar="FILE", help="JSON quandle file")
-        src.add_argument("--builtin", metavar="SPEC", help="builtin family spec, e.g. dihedral:3")
-    if with_property:
-        p.add_argument("--property", required=True, choices=PROPERTIES)
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser that adds its options on first use.
+
+    `add_parser(name, options=f)` passes `f` here; `f(self)` runs once,
+    before the first parse, usage line or help page.
+    """
+
+    def __init__(self, *args, options, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._options = options
+
+    def _add_options(self) -> None:
+        options, self._options = self._options, None
+        if options is not None:
+            options(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._add_options()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self) -> str:
+        self._add_options()
+        return super().format_usage()
+
+    def format_help(self) -> str:
+        self._add_options()
+        return super().format_help()
+
+
+def _common_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-enum",
         type=int,
@@ -527,31 +550,58 @@ def _add_common(p: argparse.ArgumentParser, with_input: bool, with_property: boo
     p.add_argument("--output", metavar="FILE", help="write the report to a file instead of stdout")
 
 
+def _space_options(p: argparse.ArgumentParser) -> None:
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--input", metavar="FILE", help="JSON quandle file")
+    src.add_argument("--builtin", metavar="SPEC", help="builtin family spec, e.g. dihedral:3")
+    p.add_argument("--property", required=True, choices=PROPERTIES)
+    _common_options(p)
+
+
+def _decision_options(p: argparse.ArgumentParser) -> None:
+    # enumerate has no --strategy: an enumeration is the closed form, with no tiers to pick
+    _space_options(p)
+    p.add_argument(
+        "--strategy",
+        choices=("auto", "fast", "brute"),
+        default="auto",
+        help="force the structural fast path or the exhaustive tier",
+    )
+
+
+def _census_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-order", type=int, default=4, metavar="N")
+    _common_options(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the quorder command line.
+
+    Each subcommand's options are added only when that subcommand is used,
+    so a run pays for building one command's options, not all five. A
+    subcommand's parser is a `_Command`, which adds its options in the three
+    methods argparse reaches it through: `parse_known_args`, which the
+    subparsers action calls and in which `-h` and usage errors arise, and
+    `format_usage` and `format_help`, for callers that format it directly.
+    Help pages, error messages and exit codes are therefore argparse's own.
+
+    The function takes no arguments and builds a new parser on every call,
+    keeping no state between calls: the benchmark's tracer swaps it for a
+    no-argument wrapper and times `parse_args` on the parser it returns.
+    """
     parser = argparse.ArgumentParser(
         prog="quorder",
         description="Decide and enumerate circular and linear orderings of finite quandles.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("check", "decide one orderability property"),
-        ("enumerate", "list all orderings with the property"),
-        ("witness", "print just the witness ordering, if any"),
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    for name, help_text, options in (
+        ("check", "decide one orderability property", _decision_options),
+        ("enumerate", "list all orderings with the property", _space_options),
+        ("witness", "print just the witness ordering, if any", _decision_options),
+        ("census", "orderability flags for all small quandles", _census_options),
+        ("verify-paper", "run the named small-case reference checks", _common_options),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p, with_input=True, with_property=True)
-        if name != "enumerate":  # an enumeration is the closed form; it has no tiers to pick
-            p.add_argument(
-                "--strategy",
-                choices=("auto", "fast", "brute"),
-                default="auto",
-                help="force the structural fast path or the exhaustive tier",
-            )
-    p = sub.add_parser("census", help="orderability flags for all small quandles")
-    p.add_argument("--max-order", type=int, default=4, metavar="N")
-    _add_common(p, with_input=False, with_property=False)
-    p = sub.add_parser("verify-paper", help="run the named small-case reference checks")
-    _add_common(p, with_input=False, with_property=False)
+        sub.add_parser(name, help=help_text, options=options)
     return parser
 
 

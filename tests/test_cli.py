@@ -1,9 +1,12 @@
+import argparse
 import io
 import json
+import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -516,6 +519,154 @@ class TestMain:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 0
         assert err == b""
+
+
+def _commands(parser: argparse.ArgumentParser) -> dict:
+    """The subcommand parsers of a quorder parser, by name."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _eager_parser() -> argparse.ArgumentParser:
+    """build_parser() with every subcommand's options added up front."""
+    parser = build_parser()
+    for command in _commands(parser).values():
+        command._add_options()
+    return parser
+
+
+def _outcome(parser: argparse.ArgumentParser, argv: list[str]) -> tuple:
+    """(exit status, stdout, stderr, vars of the namespace or None) of one
+    parse, with help pages wrapped at a fixed width."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out), redirect_stderr(err):
+        try:
+            status, result = 0, vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            status, result = exc.code, None
+    return status, out.getvalue(), err.getvalue(), result
+
+
+_HELP_ARGV = [
+    ["-h"], ["check", "-h"], ["enumerate", "-h"], ["witness", "-h"], ["census", "--help"], ["verify-paper", "-h"],
+]
+_USAGE_ERRORS = {
+    "no-command": [],
+    "unknown-command": ["sort"],
+    "unknown-top-level-option": ["--strategy", "fast", "check"],
+    "no-source": ["check", "--property", "right-circular"],
+    "no-property": ["witness", "--builtin", "dihedral:3"],
+    "both-sources": ["check", "--input", "q.json", "--builtin", "dihedral:3", "--property", "right-order"],
+    "bad-choice": ["check", "--builtin", "dihedral:3", "--property", "circular"],
+    "bad-int": ["census", "--max-order", "x"],
+    "missing-value": ["enumerate", "--builtin", "trivial:3", "--property"],
+    "unrecognized": ["enumerate", "--builtin", "trivial:3", "--property", "right-circular", "--strategy", "fast"],
+    "ambiguous": ["census", "--max", "3"],
+    "flag-with-value": ["verify-paper", "--pretty=yes"],
+    "after-double-dash": ["census", "--", "--max-order", "2"],
+}
+# each option with values it accepts; --fail-on-no and --pretty take none
+_OPTIONS = {
+    "--input": ["q.json"],
+    "--builtin": ["dihedral:3", "trivial:2"],
+    "--property": ["right-circular", "left-order"],
+    "--strategy": ["brute", "fast"],
+    "--max-enum": ["3", "0"],
+    "--max-order": ["3", "-1"],
+    "--output": ["r.json"],
+    "--fail-on-no": [],
+    "--pretty": [],
+}
+_COMMON = ["--max-enum", "--fail-on-no", "--pretty", "--output"]
+_SPACE = ["--input", "--builtin", "--property", *_COMMON]
+_COMMAND_OPTIONS = {
+    "check": [*_SPACE, "--strategy"],
+    "witness": [*_SPACE, "--strategy"],
+    "enumerate": _SPACE,
+    "census": ["--max-order", *_COMMON],
+    "verify-paper": _COMMON,
+    "verify": list(_OPTIONS),
+}
+_STRAYS = st.sampled_from(["x", "-1", "--", "-h", "--he", "circular"])
+
+
+@st.composite
+def _item(draw, name: str) -> list[str]:
+    """One option, spelled in full or abbreviated, with its value (if it
+    takes one) as the next word or joined by '='."""
+    spelling = name[: draw(st.integers(3, len(name)))]
+    if not _OPTIONS[name]:
+        return [spelling]
+    value = draw(st.sampled_from(_OPTIONS[name]) if draw(st.integers(0, 3)) else _STRAYS)
+    return draw(st.sampled_from([[spelling, value], [f"{spelling}={value}"]]))
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A command with options drawn mostly from its own, the required ones
+    often first; now and then a stray word or an option of another command."""
+    command = draw(st.sampled_from(list(_COMMAND_OPTIONS)))
+    names = []
+    if command in ("check", "witness", "enumerate") and draw(st.booleans()):
+        names = [draw(st.sampled_from(["--input", "--builtin"])), "--property"]
+    own = st.sampled_from(_COMMAND_OPTIONS[command])
+    names += draw(st.lists(st.one_of(own, own, own, st.sampled_from(list(_OPTIONS))), max_size=4))
+    words = [command]
+    for name in names:
+        words += draw(_item(name)) if draw(st.integers(0, 9)) else [draw(_STRAYS)]
+    return words
+
+
+class TestDeferredOptions:
+    """build_parser adds a subcommand's options only when that subcommand is
+    used, and parses, errs and helps exactly as with all options added."""
+
+    def test_only_the_named_command_gets_options(self):
+        parser = build_parser()
+        parser.parse_args(["census", "--max-order", "2"])
+        commands = _commands(parser)
+        assert len(commands["census"]._actions) > 1
+        for name in ("check", "enumerate", "witness", "verify-paper"):
+            assert [type(a) for a in commands[name]._actions] == [argparse._HelpAction]
+        status, out, _, _ = _outcome(parser, ["check", "-h"])
+        assert status == 0
+        for option in (
+            "--input", "--builtin", "--property", "--strategy",
+            "--max-enum", "--fail-on-no", "--pretty", "--output",
+        ):
+            assert option in out
+
+    def test_no_state_between_calls(self):
+        build_parser().parse_args(["census"])
+        assert len(_commands(build_parser())["census"]._actions) == 1
+
+    @pytest.mark.parametrize("method", ["format_usage", "format_help"])
+    def test_formatting_before_any_parse(self, method):
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            lazy, eager = _commands(build_parser()), _commands(_eager_parser())
+            for name, command in lazy.items():
+                assert getattr(command, method)() == getattr(eager[name], method)()
+
+    @pytest.mark.parametrize("argv", _HELP_ARGV, ids=" ".join)
+    def test_help_pages(self, argv):
+        outcome = _outcome(build_parser(), argv)
+        assert outcome == _outcome(_eager_parser(), argv)
+        status, out, err, _ = outcome
+        assert (status, err) == (0, "")
+        assert out.startswith("usage: quorder")
+
+    @pytest.mark.parametrize("argv", _USAGE_ERRORS.values(), ids=_USAGE_ERRORS)
+    def test_usage_errors(self, argv):
+        outcome = _outcome(build_parser(), argv)
+        assert outcome == _outcome(_eager_parser(), argv)
+        status, out, err, _ = outcome
+        assert (status, out) == (2, "")
+        assert err.startswith("usage: quorder")
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=_argv())
+    def test_any_argv(self, argv):
+        assert _outcome(build_parser(), argv) == _outcome(_eager_parser(), argv)
 
 
 class TestInputBounds:
