@@ -509,32 +509,29 @@ def render_report(report: dict, pretty: bool = False) -> str:
 
 
 class _Command(argparse.ArgumentParser):
-    """A subcommand's parser that adds its options on first use.
+    """A subcommand's parser that is built on first use.
 
-    `add_parser(name, options=f)` passes `f` here; `f(self)` runs once,
-    before the first parse, usage line or help page.
+    `add_parser(name, options=f, ...)` only records `f` and the keyword
+    arguments for `ArgumentParser.__init__`. The first read of an attribute
+    that `__init__` sets builds the parser and then runs `f(self)`; argparse
+    reads one at the start of every parse, usage line, help page and repr, so
+    no caller sees the parser half built.
     """
 
-    def __init__(self, *args, options, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._options = options
+    def __init__(self, *, options, **kwargs):
+        self._deferred = options, kwargs
 
-    def _add_options(self) -> None:
-        options, self._options = self._options, None
-        if options is not None:
-            options(self)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._add_options()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self) -> str:
-        self._add_options()
-        return super().format_usage()
-
-    def format_help(self) -> str:
-        self._add_options()
-        return super().format_help()
+    def __getattr__(self, name):
+        # Python calls this only for an attribute the instance lacks. The
+        # pop makes a read during the build itself, or on a built parser,
+        # fail as it would on any ArgumentParser.
+        deferred = self.__dict__.pop("_deferred", None)
+        if deferred is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        options, kwargs = deferred
+        super().__init__(**kwargs)
+        options(self)
+        return getattr(self, name)
 
 
 def _common_options(p: argparse.ArgumentParser) -> None:
@@ -577,13 +574,14 @@ def _census_options(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser for the quorder command line.
 
-    Each subcommand's options are added only when that subcommand is used,
-    so a run pays for building one command's options, not all five. A
-    subcommand's parser is a `_Command`, which adds its options in the three
-    methods argparse reaches it through: `parse_known_args`, which the
-    subparsers action calls and in which `-h` and usage errors arise, and
-    `format_usage` and `format_help`, for callers that format it directly.
-    Help pages, error messages and exit codes are therefore argparse's own.
+    Each subcommand's parser, options included, is built only when that
+    subcommand is used, so a run builds two parsers, the top level and its
+    command's, not six. A subcommand's parser is a `_Command`, which builds
+    itself on the first read of any attribute argparse sets up: the
+    subparsers action reaches it through `parse_known_args`, in which `-h`
+    and usage errors arise, and other callers through `format_usage`,
+    `format_help` or any other attribute. Help pages, error messages and exit
+    codes are therefore argparse's own.
 
     The function takes no arguments and builds a new parser on every call,
     keeping no state between calls: the benchmark's tracer swaps it for a

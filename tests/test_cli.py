@@ -527,12 +527,24 @@ def _commands(parser: argparse.ArgumentParser) -> dict:
     return action.choices
 
 
+class _EagerCommand(argparse.ArgumentParser):
+    """A subcommand's parser built, options included, as soon as it is made."""
+
+    def __init__(self, *, options, **kwargs):
+        super().__init__(**kwargs)
+        options(self)
+
+
 def _eager_parser() -> argparse.ArgumentParser:
-    """build_parser() with every subcommand's options added up front."""
-    parser = build_parser()
-    for command in _commands(parser).values():
-        command._add_options()
-    return parser
+    """build_parser() with every subcommand's parser built up front."""
+    with mock.patch("quorder.cli._Command", _EagerCommand):
+        return build_parser()
+
+
+def _built(command: argparse.ArgumentParser) -> bool:
+    """Whether ArgumentParser.__init__ has run on a subcommand's parser,
+    judged from its __dict__, as reading an attribute would build it."""
+    return "_actions" in vars(command)
 
 
 def _outcome(parser: argparse.ArgumentParser, argv: list[str]) -> tuple:
@@ -618,16 +630,18 @@ def _argv(draw) -> list[str]:
 
 
 class TestDeferredOptions:
-    """build_parser adds a subcommand's options only when that subcommand is
-    used, and parses, errs and helps exactly as with all options added."""
+    """build_parser builds a subcommand's parser, options included, only when
+    that subcommand is used, and parses, errs and helps exactly as with every
+    parser built up front."""
 
     def test_only_the_named_command_gets_options(self):
         parser = build_parser()
         parser.parse_args(["census", "--max-order", "2"])
         commands = _commands(parser)
+        assert _built(commands["census"])
         assert len(commands["census"]._actions) > 1
         for name in ("check", "enumerate", "witness", "verify-paper"):
-            assert [type(a) for a in commands[name]._actions] == [argparse._HelpAction]
+            assert not _built(commands[name])
         status, out, _, _ = _outcome(parser, ["check", "-h"])
         assert status == 0
         for option in (
@@ -638,7 +652,19 @@ class TestDeferredOptions:
 
     def test_no_state_between_calls(self):
         build_parser().parse_args(["census"])
-        assert len(_commands(build_parser())["census"]._actions) == 1
+        commands = _commands(build_parser())
+        assert list(commands) == ["check", "enumerate", "witness", "census", "verify-paper"]
+        assert not any(map(_built, commands.values()))
+
+    @pytest.mark.parametrize("read", [lambda c: c.prog, lambda c: c._actions, repr], ids=["prog", "_actions", "repr"])
+    def test_any_attribute_read_builds(self, read):
+        lazy, eager = _commands(build_parser()), _commands(_eager_parser())
+        for name, command in lazy.items():
+            assert not _built(command)
+            read(command)
+            assert _built(command)
+            assert command.prog == f"quorder {name}"
+            assert [repr(a) for a in command._actions] == [repr(a) for a in eager[name]._actions]
 
     @pytest.mark.parametrize("method", ["format_usage", "format_help"])
     def test_formatting_before_any_parse(self, method):
