@@ -55,7 +55,6 @@ from .search import (
     subbasic_circular,
     subbasic_linear,
 )
-from .values import Value
 
 PROPERTIES = tuple(_DECIDERS)
 
@@ -380,47 +379,20 @@ def verify_paper(caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# run configuration and dispatch
+# dispatch on the parsed command line
 
 
-class RunConfig(Value):
-    _fields = (
-        "command", "input_path", "builtin", "prop", "strategy",
-        "caps", "max_order", "fail_on_no", "pretty", "output",
-    )
-
-    def __init__(
-        self,
-        command: str,
-        input_path: str | None = None,
-        builtin: str | None = None,
-        prop: str | None = None,
-        strategy: str = "auto",
-        caps: SearchCaps = DEFAULT_CAPS,
-        max_order: int = 4,
-        fail_on_no: bool = False,
-        pretty: bool = False,
-        output: str | None = None,
-    ):
-        self.__dict__.update(
-            command=command, input_path=input_path, builtin=builtin, prop=prop, strategy=strategy,
-            caps=caps, max_order=max_order, fail_on_no=fail_on_no, pretty=pretty, output=output,
-        )
-
-
-def _load_quandle(config: RunConfig) -> FiniteQuandle:
-    if (config.input_path is None) == (config.builtin is None):
-        raise ParseError("exactly one of --input and --builtin is required")
-    if config.builtin is not None:
-        return quandle_from_builtin(config.builtin)
+def _load_quandle(args: argparse.Namespace) -> FiniteQuandle:
+    if args.builtin is not None:
+        return quandle_from_builtin(args.builtin)
     try:
-        with open(config.input_path, "r", encoding="utf-8") as fh:
+        with open(args.input, "r", encoding="utf-8") as fh:
             document = json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read {config.input_path}: {exc}") from None
+        raise ParseError(f"cannot read {args.input}: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         # RecursionError: arrays or objects nested past the decoder's depth limit
-        raise ParseError(f"invalid JSON in {config.input_path}: {exc}") from None
+        raise ParseError(f"invalid JSON in {args.input}: {exc}") from None
     structure = parse_input(document)
     if isinstance(structure, FiniteGroup):
         raise ParseError(
@@ -430,54 +402,54 @@ def _load_quandle(config: RunConfig) -> FiniteQuandle:
     return structure
 
 
-def _execute(config: RunConfig) -> tuple[dict, bool]:
-    """Produce (report, negative) where negative drives --fail-on-no."""
-    enum_cap = min(config.caps.max_circular_n, config.caps.max_linear_n)
-    for flag, value in (("--max-enum", enum_cap), ("--max-order", config.max_order)):
-        if value < 1:
-            raise ParseError(f"{flag} must be at least 1, got {value}")
-    if config.command in ("check", "enumerate", "witness") and config.prop not in PROPERTIES:
-        raise ParseError(f"property must be one of {', '.join(PROPERTIES)}")
-    if config.command in ("check", "witness"):
-        q = _load_quandle(config)
-        verdict = _DECIDERS[config.prop](q, strategy=config.strategy, caps=config.caps)
-        if config.command == "witness":
-            witness = order_to_json(verdict.witness) if verdict.witness is not None else None
-            return {"command": "witness", "witness": witness}, witness is None
-        report = {
-            "command": "check",
-            "property": config.prop,
-            "input": quandle_to_json(q),
-            "verdict": verdict_to_json(verdict),
-        }
-        return report, not verdict.answer
-    if config.command == "enumerate":
-        q = _load_quandle(config)
-        space = _ENUMERATORS[config.prop](q, config.caps)
+def _execute(args: argparse.Namespace) -> tuple[dict, bool]:
+    """Produce (report, negative) from the arguments `build_parser()` parsed;
+    negative drives --fail-on-no. The parser has already checked the command,
+    the property, the strategy and that exactly one source was given; the
+    caps are only known to be integers."""
+    if args.max_enum is not None and args.max_enum < 1:
+        raise ParseError(f"--max-enum must be at least 1, got {args.max_enum}")
+    caps = DEFAULT_CAPS if args.max_enum is None else SearchCaps(args.max_enum, args.max_enum)
+    if args.command == "census":
+        if args.max_order < 1:
+            raise ParseError(f"--max-order must be at least 1, got {args.max_order}")
+        records = census(args.max_order, caps)
+        return {"command": "census", "max_order": args.max_order, "records": records}, False
+    if args.command == "verify-paper":
+        checks = verify_paper(caps)
+        all_passed = all(c["passed"] for c in checks)
+        report = {"command": "verify-paper", "checks": checks, "all_passed": all_passed}
+        return report, not all_passed
+    q = _load_quandle(args)
+    if args.command == "enumerate":
+        space = _ENUMERATORS[args.property](q, caps)
         report = {
             "command": "enumerate",
-            "property": config.prop,
+            "property": args.property,
             "input": quandle_to_json(q),
             "kind": space.kind,
             "count": len(space),
             "members": [order_to_json(m) for m in space],
         }
         return report, len(space) == 0
-    if config.command == "census":
-        records = census(config.max_order, config.caps)
-        return {"command": "census", "max_order": config.max_order, "records": records}, False
-    if config.command == "verify-paper":
-        checks = verify_paper(config.caps)
-        all_passed = all(c["passed"] for c in checks)
-        report = {"command": "verify-paper", "checks": checks, "all_passed": all_passed}
-        return report, not all_passed
-    raise ParseError(f"unknown command {config.command!r}")
+    verdict = _DECIDERS[args.property](q, strategy=args.strategy, caps=caps)
+    if args.command == "witness":
+        witness = order_to_json(verdict.witness) if verdict.witness is not None else None
+        return {"command": "witness", "witness": witness}, witness is None
+    report = {
+        "command": "check",
+        "property": args.property,
+        "input": quandle_to_json(q),
+        "verdict": verdict_to_json(verdict),
+    }
+    return report, not verdict.answer
 
 
-def run(config: RunConfig) -> tuple[dict, int]:
-    """Execute a configuration, returning the report and the exit status."""
+def run(args: argparse.Namespace) -> tuple[dict, int]:
+    """Run the command `build_parser().parse_args` parsed, returning the
+    report and the exit status."""
     try:
-        report, negative = _execute(config)
+        report, negative = _execute(args)
     except ResourceLimit as exc:
         return {"error": {"kind": "resource-limit", "detail": str(exc)}}, 3
     except NotAQuandle as exc:
@@ -494,7 +466,7 @@ def run(config: RunConfig) -> tuple[dict, int]:
         }, 4
     except QuorderError as exc:
         return {"error": {"kind": type(exc).__name__, "detail": str(exc)}}, 2
-    status = 1 if (config.fail_on_no and negative) else 0
+    status = 1 if (args.fail_on_no and negative) else 0
     return report, status
 
 
@@ -603,38 +575,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    caps = DEFAULT_CAPS
-    if getattr(args, "max_enum", None) is not None:
-        caps = SearchCaps(args.max_enum, args.max_enum)
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        builtin=getattr(args, "builtin", None),
-        prop=getattr(args, "property", None),
-        strategy=getattr(args, "strategy", "auto"),
-        caps=caps,
-        max_order=getattr(args, "max_order", 4),
-        fail_on_no=args.fail_on_no,
-        pretty=args.pretty,
-        output=args.output,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
-    report, status = run(config)
-    text = render_report(report, config.pretty)
-    if config.output:
+    report, status = run(args)
+    text = render_report(report, args.pretty)
+    if args.output:
         try:
-            with open(config.output, "w", encoding="utf-8") as fh:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
             return status
         except OSError as exc:
-            error = {"kind": "ParseError", "detail": f"cannot write {config.output}: {exc}"}
+            error = {"kind": "ParseError", "detail": f"cannot write {args.output}: {exc}"}
             status = 2
-            text = render_report({"error": error}, config.pretty)
+            text = render_report({"error": error}, args.pretty)
     try:
         print(text)
         sys.stdout.flush()

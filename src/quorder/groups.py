@@ -19,7 +19,6 @@ from functools import cached_property
 from itertools import chain, combinations, permutations
 
 from .errors import NotAGroup, NotAnAutomorphism, NotAPermutation, ResourceLimit
-from .radix import decode_mixed, encode_mixed
 from .values import Value
 
 Perm = tuple[int, ...]
@@ -216,24 +215,19 @@ def symmetric_group(n: int) -> FiniteGroup:
     return FiniteGroup(table, index[identity_perm(n)], name=f"S{n}")
 
 
+def product_table(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The componentwise operation of two tables; the pair (x, y) over sizes
+    (k, m) is the point x*m + y, so the last factor varies fastest."""
+    m = len(b)
+    n = len(a) * m
+    return tuple(tuple(a[x // m][y // m] * m + b[x % m][y % m] for y in range(n)) for x in range(n))
+
+
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; the pair (a, b) is the element a*|h| + b."""
-    sizes = (g.size, h.size)
-    n = g.size * h.size
-    check_carrier(n)
-    table = []
-    for x in range(n):
-        a1, b1 = decode_mixed(x, sizes)
-        row = []
-        for y in range(n):
-            a2, b2 = decode_mixed(y, sizes)
-            row.append(encode_mixed((g.mul(a1, a2), h.mul(b1, b2)), sizes))
-        table.append(tuple(row))
-    e = encode_mixed((g.identity, h.identity), sizes)
-    name = None
-    if g.name and h.name:
-        name = f"{g.name}x{h.name}"
-    return FiniteGroup(tuple(table), e, name=name)
+    check_carrier(g.size * h.size)
+    name = f"{g.name}x{h.name}" if g.name and h.name else None
+    return FiniteGroup(product_table(g.table, h.table), g.identity * h.size + h.identity, name=name)
 
 
 class GroupAutomorphism(Value):

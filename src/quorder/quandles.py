@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, permutations
 
 from .errors import NotAQuandle, NotInvertible, ResourceLimit
@@ -27,8 +27,8 @@ from .groups import (
     compose,
     holds_per_column,
     identity_perm,
+    product_table,
 )
-from .radix import decode_mixed, encode_mixed
 from .values import Value
 
 MAX_CANONICAL_N = 8  # canonical forms (n! relabellings) are computed up to this order
@@ -210,23 +210,12 @@ def generalized_alexander_quandle(g: FiniteGroup, phi: GroupAutomorphism) -> Fin
 
 
 def product_quandle(qs: Sequence[FiniteQuandle]) -> FiniteQuandle:
-    """Componentwise operation on the mixed-radix packed product carrier."""
+    """Componentwise operation on the product carrier, the factors' tables
+    combined left to right by `groups.product_table`."""
     if not qs:
         raise ValueError("product of an empty family")
-    sizes = [q.size for q in qs]
-    n = 1
-    for s in sizes:
-        n *= s
-    check_carrier(n)
-    table = []
-    for x in range(n):
-        xs = decode_mixed(x, sizes)
-        row = []
-        for y in range(n):
-            ys = decode_mixed(y, sizes)
-            row.append(encode_mixed([q.op(a, b) for q, a, b in zip(qs, xs, ys)], sizes))
-        table.append(tuple(row))
-    return FiniteQuandle(tuple(table))
+    check_carrier(math.prod(q.size for q in qs))
+    return FiniteQuandle(reduce(product_table, [q.table for q in qs]))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,8 @@ from .errors import (
 )
 from .groups import Perm, cycle_type
 
-# uncalled here: perfbench/tracing.py wraps these names (ROADMAP item 1 removes them)
+# uncalled here: perfbench/tracing.py wraps these names; they can go once the
+# benchmark reads its layer times from a Stats collector instead
 from .groups import closure, is_cyclic, is_semiregular  # noqa: F401
 from .quandles import FiniteQuandle, is_involutory, is_latin, is_trivial_quandle
 from .quandles import orbits as quandle_orbits

@@ -40,7 +40,7 @@ from quorder import (
     symmetric_group,
     trivial_quandle,
 )
-from quorder.cli import RunConfig, parse_input, run
+from quorder.cli import build_parser, parse_input, run
 from quorder.search import brute_space
 
 
@@ -238,7 +238,7 @@ def test_criterion_09_raw_function_enumeration_matches_arrangements():
 
 def test_criterion_10_verify_paper_command_passes():
     with Budget("10 verify-paper", 60.0):
-        report, status = run(RunConfig(command="verify-paper"))
+        report, status = run(build_parser().parse_args(["verify-paper"]))
         assert status == 0
         assert report["all_passed"] is True
         named = {c["name"]: c["passed"] for c in report["checks"]}

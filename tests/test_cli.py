@@ -18,7 +18,6 @@ from quorder import (
     FiniteQuandle,
     NotAQuandle,
     ParseError,
-    SearchCaps,
     cyclic_group,
     dihedral_quandle,
     generate_all_quandles,
@@ -28,7 +27,6 @@ from quorder import (
 from quorder import search
 from quorder.cli import (
     PROPERTIES,
-    RunConfig,
     build_parser,
     group_from_spec,
     main,
@@ -41,6 +39,11 @@ from quorder.cli import (
 )
 
 PAPER_DOC = {"kind": "quandle", "index_base": 1, "table": [[1, 1, 2], [2, 2, 1], [3, 3, 3]]}
+
+
+def _run(*argv: str) -> tuple[dict, int]:
+    """`run` on the arguments the CLI's parser makes of argv."""
+    return run(build_parser().parse_args(argv))
 
 
 class TestParseInput:
@@ -101,7 +104,7 @@ class TestParseInput:
             parse_input(doc)
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
-        report, status = run(RunConfig(command="check", input_path=str(path), prop="right-circular"))
+        report, status = _run("check", "--input", str(path), "--property", "right-circular")
         assert status == 2
         assert report["error"]["kind"] == "ParseError"
 
@@ -163,9 +166,7 @@ class TestBuiltinSpecs:
 
 class TestRun:
     def test_check_dihedral_right_circular(self):
-        report, status = run(
-            RunConfig(command="check", builtin="dihedral:3", prop="right-circular")
-        )
+        report, status = _run("check", "--builtin", "dihedral:3", "--property", "right-circular")
         assert status == 0
         assert report["verdict"]["answer"] == "no"
         cert = report["verdict"]["certificate"]
@@ -173,47 +174,31 @@ class TestRun:
         assert cert["data"] == {"base": 0, "point": 1, "image": 2}
 
     def test_enumerate_counts(self):
-        report, status = run(
-            RunConfig(command="enumerate", builtin="trivial:3", prop="right-circular")
-        )
+        report, status = _run("enumerate", "--builtin", "trivial:3", "--property", "right-circular")
         assert status == 0
         assert report["count"] == 2
         assert report["members"] == [{"arrangement": [0, 1, 2]}, {"arrangement": [0, 2, 1]}]
 
     def test_witness_only(self):
-        report, status = run(
-            RunConfig(command="witness", builtin="trivial:3", prop="right-circular")
-        )
+        report, status = _run("witness", "--builtin", "trivial:3", "--property", "right-circular")
         assert status == 0
         assert report == {"command": "witness", "witness": {"arrangement": [0, 1, 2]}}
 
     def test_fail_on_no(self):
-        report, status = run(
-            RunConfig(
-                command="check", builtin="dihedral:3", prop="right-circular", fail_on_no=True
-            )
-        )
+        report, status = _run("check", "--builtin", "dihedral:3", "--property", "right-circular", "--fail-on-no")
         assert status == 1
-        report, status = run(
-            RunConfig(
-                command="enumerate", builtin="dihedral:3", prop="left-circular", fail_on_no=True
-            )
-        )
+        report, status = _run("enumerate", "--builtin", "dihedral:3", "--property", "left-circular", "--fail-on-no")
         assert status == 1
 
     def test_resource_limit_exit_code(self):
-        report, status = run(
-            RunConfig(command="enumerate", builtin="trivial:11", prop="right-circular")
-        )
+        report, status = _run("enumerate", "--builtin", "trivial:11", "--property", "right-circular")
         assert status == 3
         assert report["error"]["kind"] == "resource-limit"
 
     def test_closure_cap_detail(self):
         # the right translations of core:s5 generate more than the closure's
         # 10000-element cap; the decision builds no group, so it is not reached
-        report, status = run(
-            RunConfig(command="check", builtin="core:s5", prop="right-circular")
-        )
+        report, status = _run("check", "--builtin", "core:s5", "--property", "right-circular")
         assert status == 0
         verdict = report["verdict"]
         assert verdict["answer"] == "no"
@@ -221,9 +206,7 @@ class TestRun:
         assert search.recheck_certificate(quandle_from_builtin("core:s5"), cert, "RCO")
 
     def test_dihedral_25_bicircular_certificate(self):
-        report, status = run(
-            RunConfig(command="check", builtin="dihedral:25", prop="bi-circular")
-        )
+        report, status = _run("check", "--builtin", "dihedral:25", "--property", "bi-circular")
         assert status == 0
         cert = report["verdict"]["certificate"]
         assert cert["kind"] == "non-identity-left-translation"
@@ -232,25 +215,19 @@ class TestRun:
     def test_invalid_input_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "quandle", "index_base": 0, "table": [[1, 0], [0, 1]]}))
-        report, status = run(
-            RunConfig(command="check", input_path=str(bad), prop="right-circular")
-        )
+        report, status = _run("check", "--input", str(bad), "--property", "right-circular")
         assert status == 2
         assert report["error"]["kind"] == "not-a-quandle"
         assert report["error"]["witness"] == [0, 0]
 
     def test_unreadable_file(self):
-        report, status = run(
-            RunConfig(command="check", input_path="/nonexistent.json", prop="right-circular")
-        )
+        report, status = _run("check", "--input", "/nonexistent.json", "--property", "right-circular")
         assert status == 2
 
     def test_non_utf8_file(self, tmp_path):
         bad = tmp_path / "utf16.json"
         bad.write_bytes(b"\xff\xfe{\x00}\x00")
-        report, status = run(
-            RunConfig(command="check", input_path=str(bad), prop="right-circular")
-        )
+        report, status = _run("check", "--input", str(bad), "--property", "right-circular")
         assert status == 2
         assert report["error"]["kind"] == "ParseError"
 
@@ -279,53 +256,40 @@ class TestRun:
         doc = tmp_path / "group.json"
         z3 = {"kind": "group", "index_base": 0, "identity": 0, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
         doc.write_text(json.dumps(z3))
-        report, status = run(
-            RunConfig(command="check", input_path=str(doc), prop="right-circular")
-        )
+        report, status = _run("check", "--input", str(doc), "--property", "right-circular")
         assert status == 2
 
-    def test_both_sources_rejected(self):
-        report, status = run(
-            RunConfig(
-                command="check",
-                input_path="x.json",
-                builtin="trivial:2",
-                prop="right-circular",
-            )
-        )
-        assert status == 2
+    def test_both_sources_rejected(self, capsys):
+        # the parser's required, mutually exclusive source group refuses it
+        argv = ["check", "--input", "x.json", "--builtin", "trivial:2", "--property", "right-circular"]
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "config, detail",
+        "argv, detail",
         [
-            (RunConfig(command="census", max_order=0), "--max-order must be at least 1, got 0"),
-            (RunConfig(command="census", max_order=-3), "--max-order must be at least 1, got -3"),
+            (["census", "--max-order", "0"], "--max-order must be at least 1, got 0"),
+            (["census", "--max-order", "-3"], "--max-order must be at least 1, got -3"),
             (
-                RunConfig(
-                    command="enumerate",
-                    builtin="trivial:3",
-                    prop="right-circular",
-                    caps=SearchCaps(max_circular_n=-1, max_linear_n=-1),
-                ),
+                ["enumerate", "--builtin", "trivial:3", "--property", "right-circular", "--max-enum", "-1"],
                 "--max-enum must be at least 1, got -1",
             ),
-            (
-                RunConfig(command="verify-paper", caps=SearchCaps(max_linear_n=0)),
-                "--max-enum must be at least 1, got 0",
-            ),
+            (["verify-paper", "--max-enum", "0"], "--max-enum must be at least 1, got 0"),
         ],
         ids=["max-order-0", "max-order-negative", "max-enum-negative", "max-enum-0"],
     )
-    def test_caps_below_one_rejected(self, config, detail):
-        assert run(config) == ({"error": {"kind": "ParseError", "detail": detail}}, 2)
+    def test_caps_below_one_rejected(self, argv, detail):
+        assert _run(*argv) == ({"error": {"kind": "ParseError", "detail": detail}}, 2)
 
     def test_census_command(self):
-        report, status = run(RunConfig(command="census", max_order=3))
+        report, status = _run("census", "--max-order", "3")
         assert status == 0
         assert len(report["records"]) == 5
 
     def test_verify_paper_command(self):
-        report, status = run(RunConfig(command="verify-paper"))
+        report, status = _run("verify-paper")
         assert status == 0
         assert report["all_passed"] is True
         assert len(report["checks"]) == 8
@@ -333,9 +297,9 @@ class TestRun:
 
 class TestDeterminism:
     def test_reports_are_byte_identical(self):
-        config = RunConfig(command="enumerate", builtin="conj:s3", prop="right-order")
-        first = render_report(run(config)[0])
-        second = render_report(run(config)[0])
+        args = build_parser().parse_args(["enumerate", "--builtin", "conj:s3", "--property", "right-order"])
+        first = render_report(run(args)[0])
+        second = render_report(run(args)[0])
         assert first == second
 
     def test_index_base_does_not_leak(self, tmp_path):
@@ -345,8 +309,8 @@ class TestDeterminism:
             json.dumps({"kind": "quandle", "index_base": 0, "table": [[0, 0, 1], [1, 1, 0], [2, 2, 2]]})
         )
         one.write_text(json.dumps(PAPER_DOC))
-        r0 = render_report(run(RunConfig(command="check", input_path=str(zero), prop="left-circular"))[0])
-        r1 = render_report(run(RunConfig(command="check", input_path=str(one), prop="left-circular"))[0])
+        r0 = render_report(_run("check", "--input", str(zero), "--property", "left-circular")[0])
+        r1 = render_report(_run("check", "--input", str(one), "--property", "left-circular")[0])
         assert r0 == r1
 
 
@@ -423,13 +387,17 @@ class TestMain:
             ["check", "--builtin", "trivial:3", "--property", "left-order", "--max-enum", "0"],
             ["census", "--max-order", "-3"],
             ["census", "--max-order", "0"],
+            ["verify-paper", "--max-enum", "0"],
+            ["census", "--max-order", "0", "--max-enum", "0"],
         ],
     )
     def test_caps_below_one_exit_2(self, capsys, argv):
+        # --max-enum is reported first when both caps are below one
+        flag = "--max-enum" if "--max-enum" in argv else "--max-order"
+        detail = f"{flag} must be at least 1, got {argv[argv.index(flag) + 1]}"
         assert main(argv) == 2
         error = json.loads(capsys.readouterr().out)["error"]
-        assert error["kind"] == "ParseError"
-        assert "must be at least 1" in error["detail"]
+        assert error == {"kind": "ParseError", "detail": detail}
 
     def test_strategy_flag(self, capsys):
         status = main(
@@ -454,6 +422,15 @@ class TestMain:
         assert info.value.code == 2
         assert "unrecognized arguments: --strategy fast" in capsys.readouterr().err
         assert main(argv) == 0
+
+    def test_defaults_live_in_the_parser(self, capsys):
+        args = build_parser().parse_args(["check", "--builtin", "trivial:3", "--property", "right-circular"])
+        assert (args.strategy, args.max_enum, args.fail_on_no, args.pretty, args.output) == (
+            "auto", None, False, False, None,
+        )
+        assert main(["census"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["max_order"], len(report["records"])) == (4, 12)
 
     def test_parser_requires_source(self):
         with pytest.raises(SystemExit):

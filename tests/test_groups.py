@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from definitional import first_group_violation
@@ -195,6 +195,16 @@ class TestDirectProduct:
         g = direct_product(cyclic_group(2), cyclic_group(3))
         # (1, 2) * (1, 2) = (0, 1): 5 * 5 = 1
         assert g.mul(5, 5) == 1
+
+    def test_three_factors_pack_last_fastest(self):
+        # the last factor is Z2 with its identity labelled 1
+        factors = [cyclic_group(2), symmetric_group(3), FiniteGroup(((1, 0), (0, 1)), 1)]
+        g = direct_product(direct_product(*factors[:2]), factors[2])
+        points = list(product(range(2), range(6), range(2)))  # element x is the triple points[x]
+        assert points[g.identity] == tuple(f.identity for f in factors)
+        for x, xs in enumerate(points):
+            for y, ys in enumerate(points):
+                assert points[g.mul(x, y)] == tuple(f.mul(a, b) for f, a, b in zip(factors, xs, ys))
 
 
 @st.composite

@@ -246,6 +246,14 @@ class TestProduct:
         q = dihedral_quandle(4)
         assert product_quandle([q]).table == q.table
 
+    def test_three_factors_pack_last_fastest(self):
+        factors = [trivial_quandle(2), dihedral_quandle(3), dihedral_quandle(5)]
+        q = product_quandle(factors)
+        points = list(product(range(2), range(3), range(5)))  # point x is the triple points[x]
+        for x, xs in enumerate(points):
+            for y, ys in enumerate(points):
+                assert points[q.op(x, y)] == tuple(f.op(a, b) for f, a, b in zip(factors, xs, ys))
+
     def test_product_of_trivials_is_trivial(self):
         q = product_quandle([trivial_quandle(2), trivial_quandle(3)])
         assert q.table == trivial_quandle(6).table

@@ -576,6 +576,12 @@ class TestCatalog:
         counts = [len(class_catalog[n]) for n in (1, 2, 3, 4, 5)] + [len(order6_classes)]
         assert counts == [1, 1, 3, 7, 22, 73]
 
+    def test_connected_class_counts(self, class_catalog, order6_classes):
+        # OEIS A181771: classes whose inner group acts transitively (one orbit)
+        catalog = [class_catalog[n] for n in (1, 2, 3, 4, 5)] + [order6_classes]
+        counts = [sum(len(quandles.orbits(q)) == 1 for q in classes) for classes in catalog]
+        assert counts == [1, 0, 1, 1, 3, 2]
+
     def test_generation_cap(self):
         assert search.MAX_GENERATE_N == 7
         for up_to_iso in (False, True):

@@ -14,7 +14,6 @@ from quorder import (
     SearchCaps,
     search,
 )
-from quorder.cli import RunConfig
 
 Z2 = FiniteGroup(((0, 1), (1, 0)), 0, name="Z2")
 Z3 = FiniteGroup(((0, 1, 2), (1, 2, 0), (2, 0, 1)), 0)
@@ -22,10 +21,6 @@ C3 = CyclicOrder((0, 1, 2))
 PAIRS = frozenset({(0, 1), (1, 0)})
 RCO, LCO = search.SPACES["RCO"], search.SPACES["LCO"]
 SPACE_FIELDS = ("ground", "member", "fast", "prop", "flag", "label", "exhausted")
-RUN_FIELDS = (
-    "command", "input_path", "builtin", "prop", "strategy",
-    "caps", "max_order", "fail_on_no", "pretty", "output",
-)
 
 
 def _case(value, same, other, compared, fields, text):
@@ -97,14 +92,6 @@ CASES = [
         search.EmbeddingReport("left", (), (), ()),
         ("side", "domain", "image", "fibers"), ("side", "domain", "image", "fibers"),
         "EmbeddingReport(side='right', domain=(), image=(), fibers=())",
-    ),
-    _case(
-        RunConfig(command="check", builtin="dihedral:3"), RunConfig("check", None, "dihedral:3"),
-        RunConfig(command="check", builtin="dihedral:4"),
-        RUN_FIELDS, RUN_FIELDS,
-        "RunConfig(command='check', input_path=None, builtin='dihedral:3', prop=None, strategy='auto', "
-        "caps=SearchCaps(max_circular_n=10, max_linear_n=8), max_order=4, fail_on_no=False, pretty=False, "
-        "output=None)",
     ),
 ]
 
