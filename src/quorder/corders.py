@@ -15,13 +15,23 @@ increasing for a ranking exactly when it is increasing on each consecutive
 pair of the ranking (O(n) per map, by transitivity). The test suite keeps
 the definitional triple scans and the raw triple functions as the oracle
 these tests are checked against.
+
+A whole ground set is filtered in C instead, on its byte form
+(`byte_form`): each member as a byte string. For each map in
+turn, `survivors` translates the surviving members with `bytes.translate`
+and keeps those whose image is a window of their target, with `map`,
+`bytes.count` and `compress`. An arrangement's target is the arrangement
+doubled, whose n-byte windows are its rotations. A ranking's target is the
+ranking itself: a strictly increasing self-map of an n-point chain sends its
+ranks 0..n-1 to themselves, so the image must equal the ranking.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import attrgetter, itemgetter
 
 from .groups import invert
 from .quandles import FiniteQuandle
@@ -186,3 +196,61 @@ def is_right_order(o: LinearOrder, q: FiniteQuandle) -> bool:
 def is_left_order(o: LinearOrder, q: FiniteQuandle) -> bool:
     """Every left translation is strictly increasing for the ranking."""
     return _monotone(o, q, q.rows)
+
+
+# ---------------------------------------------------------------------------
+# a whole ground set filtered at once, in byte form
+
+
+class ByteForm(Value):
+    """A ground set of arrangements or rankings of `size` points in byte form.
+
+    `forms` holds each member as bytes, in ground-set order, and `targets`
+    the bytes its image under a map must be a window of: the arrangement
+    doubled, whose n-byte windows are its rotations, or the ranking itself,
+    whose only n-byte window is itself. Built once per carrier size, it
+    serves every quandle of that size.
+    """
+
+    _fields = ("members", "size", "circle", "forms", "targets")
+
+    def __init__(self, members: tuple, size: int, circle: bool, forms: tuple, targets: tuple):
+        self.__dict__.update(members=members, size=size, circle=circle, forms=forms, targets=targets)
+
+
+def byte_form(ground: Sequence[CyclicOrder] | Sequence[LinearOrder]) -> ByteForm:
+    """The byte form of a nonempty ground set of circular orderings or of rankings."""
+    ground = tuple(ground)
+    circle = ground[0].__class__ is CyclicOrder
+    forms = tuple(map(bytes, map(attrgetter("arrangement" if circle else "ranking"), ground)))
+    targets = tuple(map(bytes.__add__, forms, forms)) if circle else forms
+    return ByteForm(ground, len(forms[0]), circle, forms, targets)
+
+
+def survivors(form: ByteForm, maps: Iterable[Sequence[int]]) -> tuple:
+    """The members of the form that every map preserves, in ground-set order.
+
+    Each map is one translation table, through which `bytes.translate`
+    maps every member still alive; `bytes.count` then finds each image in
+    its target, all in C. A map that fixes every point sends the form onto
+    itself, so it keeps every member untested, and the scan stops once no
+    member is left.
+    """
+    members = form.members
+    n = form.size
+    # every triple of n <= 2 points is degenerate: any map preserves the zero ordering
+    if form.circle and n <= 2:
+        return members
+    forms, targets = form.forms, form.targets
+    identity = bytes(range(n))
+    for m in maps:
+        table = bytes(m)
+        if table == identity:
+            continue
+        keep = list(map(bytes.count, targets, map(bytes.translate, forms, repeat(table.ljust(256)))))
+        members = tuple(compress(members, keep))
+        if not members:
+            break
+        forms = tuple(compress(forms, keep))
+        targets = tuple(compress(targets, keep))
+    return members

@@ -19,11 +19,13 @@ By the same lemma a finite order space is either its whole ground set of
 arrangements or rankings or empty, so `enumerate_space` is a closed form:
 it takes the fast verdict, builds nothing for a no, and returns the ground
 set unfiltered for a yes. The brute tier filters the ground set with the
-translation tests; `brute_space` lists the space that way and `decide`'s
-brute strategy stops at the first member. It is the independent oracle, and
-only oracle paths run it: `decide`'s auto strategy diffs the two tiers up to
+translation tests. `brute_space` lists the space with `corders.survivors`,
+which runs the tests in C over the ground set's byte form, one map at a
+time; `decide`'s brute strategy calls the per-member predicates and stops
+at the first member. The brute tier is the independent oracle, and only
+oracle paths run it: `decide`'s auto strategy diffs the two tiers up to
 ORACLE_MAX_N points, and `census` diffs every fast-path verdict against the
-size the same filter finds on a ground set built once per order.
+size the same filter finds on a byte form built once per order.
 
 The census classifies the quandles of each order up to isomorphism by one
 relabelling search: the canonical form, the least of a table's n!
@@ -33,17 +35,21 @@ when their forms are equal, and each class is reported as its form.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from itertools import permutations
+from collections.abc import Callable, Iterable, Sequence
+from itertools import chain, permutations
+from operator import attrgetter
 
 from .corders import (
+    ByteForm,
     CyclicOrder,
     LinearOrder,
+    byte_form,
     circular_from_linear,
     is_left_invariant,
     is_left_order,
     is_right_invariant,
     is_right_order,
+    survivors,
 )
 from .errors import (
     DegenerateTriple,
@@ -250,15 +256,21 @@ def _fast_left(q: FiniteQuandle, circle: bool) -> Verdict:
 class _Space(Value):
     """One order space: a ground set filtered by a translation test.
 
-    The callables look their callees up as module globals when called, so a
-    rebinding of, say, `is_right_invariant` is seen by every space using it.
+    The test comes in two forms. `member` decides one candidate with the
+    `corders` predicates; `_brute` and `embedding_image` call it, and it
+    looks its callees up as module globals when called, so a rebinding of,
+    say, `is_right_invariant` reaches both. `maps` feeds the byte kernel
+    `corders.survivors` instead, which filters a whole ground set for
+    `brute_space` and `census` and calls no predicate, so such a rebinding
+    does not reach those two.
     """
 
-    _fields = ("ground", "member", "fast", "prop", "flag", "label", "exhausted")
+    _fields = ("ground", "maps", "member", "fast", "prop", "flag", "label", "exhausted")
 
     def __init__(
         self,
         ground: Callable[[int, SearchCaps], tuple],
+        maps: Callable[[FiniteQuandle], Iterable[Sequence[int]]],  # the translations tested
         member: Callable[[CyclicOrder | LinearOrder, FiniteQuandle], bool],
         fast: Callable[[FiniteQuandle], Verdict],
         prop: str,  # CLI property name
@@ -267,7 +279,8 @@ class _Space(Value):
         exhausted: str,  # brute-force refutation, given the ground size
     ):
         self.__dict__.update(
-            ground=ground, member=member, fast=fast, prop=prop, flag=flag, label=label, exhausted=exhausted
+            ground=ground, maps=maps, member=member, fast=fast,
+            prop=prop, flag=flag, label=label, exhausted=exhausted,
         )
 
 
@@ -279,30 +292,37 @@ def _rankings(n: int, caps: SearchCaps) -> tuple[LinearOrder, ...]:
     return enumerate_rankings(n, caps)
 
 
+_columns, _rows = attrgetter("columns"), attrgetter("rows")
+
 SPACES = {
     "RCO": _Space(
-        _circular, lambda c, q: is_right_invariant(c, q), lambda q: _fast_right(q, True),
+        _circular, _columns,
+        lambda c, q: is_right_invariant(c, q), lambda q: _fast_right(q, True),
         "right-circular", "right_circularly_orderable", "right-circular orderability",
         "none of the {} circular orderings is right-invariant",
     ),
     "LCO": _Space(
-        _circular, lambda c, q: is_left_invariant(c, q), lambda q: _fast_left(q, True),
+        _circular, _rows,
+        lambda c, q: is_left_invariant(c, q), lambda q: _fast_left(q, True),
         "left-circular", "left_circularly_orderable", "left-circular orderability",
         "none of the {} circular orderings is left-invariant",
     ),
     "BCO": _Space(
-        _circular, lambda c, q: is_right_invariant(c, q) and is_left_invariant(c, q),
+        _circular, lambda q: chain(q.columns, q.rows),
+        lambda c, q: is_right_invariant(c, q) and is_left_invariant(c, q),
         lambda q: _fast_left(q, True),
         "bi-circular", "bi_circularly_orderable", "bi-circular orderability",
         "none of the {} circular orderings is both-invariant",
     ),
     "RO": _Space(
-        _rankings, lambda o, q: is_right_order(o, q), lambda q: _fast_right(q, False),
+        _rankings, _columns,
+        lambda o, q: is_right_order(o, q), lambda q: _fast_right(q, False),
         "right-order", "right_orderable", "right orderability",
         "none of the {} rankings is a right ordering",
     ),
     "LO": _Space(
-        _rankings, lambda o, q: is_left_order(o, q), lambda q: _fast_left(q, False),
+        _rankings, _rows,
+        lambda o, q: is_left_order(o, q), lambda q: _fast_left(q, False),
         "left-order", "left_orderable", "left orderability",
         "none of the {} rankings is a left ordering",
     ),
@@ -323,17 +343,12 @@ def enumerate_space(kind: str, q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS
     return OrderSpace(kind, space.ground(q.size, caps))
 
 
-def _filter(space: _Space, q: FiniteQuandle, ground: tuple) -> tuple:
-    """The members of a ground set that pass the space's translation test."""
-    member = space.member
-    return tuple([x for x in ground if member(x, q)])
-
-
 def brute_space(kind: str, q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
     """The named order space by definition: the ground set filtered by the
-    space's translation test. The oracle for `enumerate_space`."""
+    space's translation test, every map of it in turn. The oracle for
+    `enumerate_space`."""
     space = SPACES[kind]
-    return OrderSpace(kind, _filter(space, q, space.ground(q.size, caps)))
+    return OrderSpace(kind, survivors(byte_form(space.ground(q.size, caps)), space.maps(q)))
 
 
 def _brute(kind: str, q: FiniteQuandle, caps: SearchCaps) -> Verdict:
@@ -699,12 +714,13 @@ def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
     reports are stable under relabeling. The space sizes record how large
     the five finite spaces actually come out, not just whether they are
     empty. Each order's ground sets (the arrangements and the rankings) are
-    built once, after its classes are generated, and shared by every class.
-    Each space is scanned once per class: its size is the brute tier's
-    filter of the ground set (the one `brute_space` applies), and its flag
-    is the fast path's answer, diffed against that size on every class.
-    BCO is RCO ∩ LCO by definition, so its members are the arrangements
-    both of those filters kept, and no arrangement is tested for it again.
+    built once, after its classes are generated, in byte form, and shared
+    by every class. Each space is scanned once per class: its size is the
+    brute tier's filter of the ground set (the byte kernel
+    `corders.survivors`, which `brute_space` runs too), and its flag is the
+    fast path's answer, diffed against that size on every class. BCO is
+    RCO ∩ LCO by definition, so its members are the arrangements both of
+    those filters kept, and no arrangement is tested for it again.
     A max_n above MAX_GENERATE_N raises ResourceLimit before any order is
     generated.
     """
@@ -713,17 +729,17 @@ def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
     records = []
     for n in range(1, max_n + 1):
         classes = generate_all_quandles(n, up_to_iso=True)
-        grounds: dict[Callable, tuple] = {}
+        forms: dict[Callable, ByteForm] = {}
         for s in SPACES.values():
-            if s.ground not in grounds:
-                grounds[s.ground] = s.ground(n, caps)
+            if s.ground not in forms:
+                forms[s.ground] = byte_form(s.ground(n, caps))
         for class_id, q in enumerate(classes):
             flags, sizes, members = {}, {}, {}
             for kind, s in SPACES.items():
                 if kind == "BCO":  # RCO and LCO come first in SPACES
                     members[kind] = set(members["RCO"]).intersection(members["LCO"])
                 else:
-                    members[kind] = _filter(s, q, grounds[s.ground])
+                    members[kind] = survivors(forms[s.ground], s.maps(q))
                 size = len(members[kind])
                 flag = DECIDERS[s.prop](q, strategy="fast", caps=caps).answer
                 _agree(kind, flag, size > 0)

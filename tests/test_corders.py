@@ -31,7 +31,7 @@ from quorder import (
     is_right_order,
     trivial_quandle,
 )
-from quorder.search import enumerate_space
+from quorder.search import brute_space, enumerate_space
 
 
 def all_arrangements(n):
@@ -288,6 +288,7 @@ class TestMembershipMatchesDefinition:
             for kind, (ground, member) in definitions.items():
                 expected = tuple(x for x in ground(q.size) if member(x, q))
                 assert enumerate_space(kind, q).members == expected, (kind, q.table)
+                assert brute_space(kind, q).members == expected, (kind, q.table)
 
 
 maps_on_small_carriers = st.integers(min_value=1, max_value=6).flatmap(
@@ -344,6 +345,53 @@ def test_rotations_of_an_arrangement_are_invariant(n, rng):
     q = translations(n, maps)
     assert is_right_invariant(c, q)
     assert right_invariance_witness(c, q) is None
+
+
+def _rotation(arrangement, k):
+    """The map shifting a cyclic arrangement by k places."""
+    n = len(arrangement)
+    m = [0] * n
+    for i, x in enumerate(arrangement):
+        m[x] = arrangement[(i + k) % n]
+    return tuple(m)
+
+
+# maps drawn as in maps_on_small_carriers, or, three in five, as a shift of
+# the drawn arrangement by k places (an int), which some arrangements survive
+maps_with_rotations = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.permutations(range(n)),
+        st.lists(
+            st.one_of(
+                st.permutations(range(n)).map(tuple),
+                st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple),
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps_with_rotations)
+def test_brute_space_matches_definition_on_random_maps(case):
+    # brute_space filters the whole ground set in byte form, and keeps a
+    # member only if it survives every map, in ground-set order
+    n, rest, drawn = case
+    arrangement = CyclicOrder.from_cycle(rest).arrangement
+    maps = [_rotation(arrangement, m) if isinstance(m, int) else m for m in drawn]
+    q = translations(n, maps)
+    circles = tuple(c for c in all_arrangements(n) if right_invariance_witness(c, q) is None)
+    rankings = tuple(o for o in map(LinearOrder, permutations(range(n))) if pairwise_monotone(o, maps))
+    for kind in ("RCO", "LCO", "BCO"):
+        assert brute_space(kind, q).members == circles, kind
+    for kind in ("RO", "LO"):
+        assert brute_space(kind, q).members == rankings, kind
 
 
 class TestRotationCharacterization:

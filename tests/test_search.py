@@ -872,6 +872,26 @@ class TestCensus:
             for kind in SPACES:
                 assert record[f"{kind.lower()}_size"] == len(brute_space(kind, q)), (kind, q.table)
 
+    def test_census_sizes_match_member_tests_on_order_6(self):
+        # the census filters in byte form; the per-member predicates are
+        # the same tests, one candidate at a time
+        tests = {
+            "RCO": is_right_invariant,
+            "LCO": is_left_invariant,
+            "BCO": lambda c, q: is_right_invariant(c, q) and is_left_invariant(c, q),
+            "RO": is_right_order,
+            "LO": is_left_order,
+        }
+        circles, rankings = enumerate_circular_orderings(6), enumerate_rankings(6)
+        records = [r for r in census(6) if r["order"] == 6]
+        assert len(records) == 73
+        for record in records:
+            q = FiniteQuandle(record["representative_table"])
+            for kind, member in tests.items():
+                ground = circles if kind in ("RCO", "LCO", "BCO") else rankings
+                size = sum(1 for x in ground if member(x, q))
+                assert record[f"{kind.lower()}_size"] == size, (kind, q.table)
+
     def test_census_scans_each_space_once(self, monkeypatch):
         expected = census(3)
 
