@@ -8,22 +8,21 @@ canonicalize to start at element 0 so equality is plain sequence equality.
 For n <= 2 the all-zero function is the unique circular ordering and is
 represented by the identity arrangement.
 
-Membership tests on arrangements and rankings are structural. A map
-preserves a cyclic arrangement exactly when it shifts the arrangement by a
-fixed number of places (a rotation test, O(n) per map); a map is strictly
-increasing for a ranking exactly when it is increasing on each consecutive
-pair of the ranking (O(n) per map, by transitivity). The test suite keeps
-the definitional triple scans and the raw triple functions as the oracle
-these tests are checked against.
-
-A whole ground set is filtered in C instead, on its byte form
-(`byte_form`): each member as a byte string. For each map in
-turn, `survivors` translates the surviving members with `bytes.translate`
-and keeps those whose image is a window of their target, with `map`,
-`bytes.count` and `compress`. An arrangement's target is the arrangement
-doubled, whose n-byte windows are its rotations. A ranking's target is the
-ranking itself: a strictly increasing self-map of an n-point chain sends its
-ranks 0..n-1 to themselves, so the image must equal the ranking.
+One translation test decides every order space: a map preserves a cyclic
+arrangement exactly when it shifts the arrangement by a fixed number of
+places, and a map is strictly increasing for a ranking exactly when it
+sends the ranking onto itself. `survivors` runs it in C over a ground set's
+byte form (`byte_form`): each member as a byte string, so a carrier has at
+most 256 points. For each map in turn it translates the surviving members
+with `bytes.translate` and keeps those whose image is a window of their
+target, with `map`, `bytes.count` and `compress`. An arrangement's target is
+the arrangement doubled, whose n-byte windows are its rotations. A ranking's
+target is the ranking itself: a strictly increasing self-map of an n-point
+chain sends its ranks 0..n-1 to themselves, so the image must equal the
+ranking. The predicates `is_right_invariant`, `is_left_invariant`,
+`is_right_order` and `is_left_order` run the same filter on a ground set of
+one member. The test suite keeps the definitional triple scans and the raw
+triple functions as the oracle this test is checked against.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import compress, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .groups import invert
 from .quandles import FiniteQuandle
@@ -131,74 +130,6 @@ def circular_from_linear(o: LinearOrder) -> CyclicOrder:
 
 
 # ---------------------------------------------------------------------------
-# invariance of a circular ordering under quandle translations
-
-
-def _shifts_all(c: CyclicOrder, maps: Iterable[Sequence[int]]) -> bool:
-    """Every map sends the arrangement (n >= 2) onto a rotation of itself."""
-    arr = c.arrangement
-    image = itemgetter(*arr)
-    for m in maps:
-        k = arr.index(m[arr[0]])
-        if image(m) != arr[k:] + arr[:k]:
-            return False
-    return True
-
-
-def _is_invariant(c: CyclicOrder, q: FiniteQuandle, maps: Sequence[Sequence[int]]) -> bool:
-    if c.size != q.size:
-        raise ValueError("carrier sizes differ")
-    # Every triple of a carrier with n <= 2 is degenerate, so any map preserves
-    # the zero ordering. For n >= 3 a non-injective map collapses some
-    # nondegenerate triple, and it cannot shift the arrangement either.
-    return c.size <= 2 or _shifts_all(c, maps)
-
-
-def is_right_invariant(c: CyclicOrder, q: FiniteQuandle) -> bool:
-    """Every right translation preserves the circular ordering."""
-    return _is_invariant(c, q, q.columns)
-
-
-def is_left_invariant(c: CyclicOrder, q: FiniteQuandle) -> bool:
-    """Every left translation preserves the circular ordering."""
-    return _is_invariant(c, q, q.rows)
-
-
-# ---------------------------------------------------------------------------
-# monotonicity of a ranking under quandle translations
-
-
-def _monotone(o: LinearOrder, q: FiniteQuandle, maps: Sequence[Sequence[int]]) -> bool:
-    """Every map is strictly increasing for the ranking.
-
-    Strict monotonicity is transitive, so comparing the images of each
-    consecutive pair of the ranking decides it.
-    """
-    if o.size != q.size:
-        raise ValueError("carrier sizes differ")
-    rank = o.rank
-    chain = o.ranking
-    for m in maps:
-        prev = -1
-        for x in chain:
-            r = rank[m[x]]
-            if r <= prev:
-                return False
-            prev = r
-    return True
-
-
-def is_right_order(o: LinearOrder, q: FiniteQuandle) -> bool:
-    """Every right translation is strictly increasing for the ranking."""
-    return _monotone(o, q, q.columns)
-
-
-def is_left_order(o: LinearOrder, q: FiniteQuandle) -> bool:
-    """Every left translation is strictly increasing for the ranking."""
-    return _monotone(o, q, q.rows)
-
-
-# ---------------------------------------------------------------------------
 # a whole ground set filtered at once, in byte form
 
 
@@ -254,3 +185,33 @@ def survivors(form: ByteForm, maps: Iterable[Sequence[int]]) -> tuple:
         forms = tuple(compress(forms, keep))
         targets = tuple(compress(targets, keep))
     return members
+
+
+# ---------------------------------------------------------------------------
+# one arrangement or ranking against the translations of a quandle
+
+
+def _preserved(order: CyclicOrder | LinearOrder, q: FiniteQuandle, maps: Iterable[Sequence[int]]) -> bool:
+    if order.size != q.size:
+        raise ValueError("carrier sizes differ")
+    return bool(survivors(byte_form((order,)), maps))
+
+
+def is_right_invariant(c: CyclicOrder, q: FiniteQuandle) -> bool:
+    """Every right translation preserves the circular ordering."""
+    return _preserved(c, q, q.columns)
+
+
+def is_left_invariant(c: CyclicOrder, q: FiniteQuandle) -> bool:
+    """Every left translation preserves the circular ordering."""
+    return _preserved(c, q, q.rows)
+
+
+def is_right_order(o: LinearOrder, q: FiniteQuandle) -> bool:
+    """Every right translation is strictly increasing for the ranking."""
+    return _preserved(o, q, q.columns)
+
+
+def is_left_order(o: LinearOrder, q: FiniteQuandle) -> bool:
+    """Every left translation is strictly increasing for the ranking."""
+    return _preserved(o, q, q.rows)

@@ -19,13 +19,14 @@ By the same lemma a finite order space is either its whole ground set of
 arrangements or rankings or empty, so `enumerate_space` is a closed form:
 it takes the fast verdict, builds nothing for a no, and returns the ground
 set unfiltered for a yes. The brute tier filters the ground set with the
-translation tests. `brute_space` lists the space with `corders.survivors`,
-which runs the tests in C over the ground set's byte form, one map at a
-time; `decide`'s brute strategy calls the per-member predicates and stops
-at the first member. The brute tier is the independent oracle, and only
-oracle paths run it: `decide`'s auto strategy diffs the two tiers up to
-ORACLE_MAX_N points, and `census` diffs every fast-path verdict against the
-size the same filter finds on a byte form built once per order.
+translation test, `corders.survivors`, which runs in C over the ground
+set's byte form, one map at a time. `brute_space` lists what it keeps,
+`decide`'s brute strategy takes the first member kept as its witness, and
+`embedding_image` re-checks the image of the ranking space with it. The
+brute tier is the independent oracle, and only oracle paths run it:
+`decide`'s auto strategy diffs the two tiers up to ORACLE_MAX_N points, and
+`census` diffs every fast-path verdict against the size the same filter
+finds on a byte form built once per order.
 
 The census classifies the quandles of each order up to isomorphism by one
 relabelling search: the canonical form, the least of a table's n!
@@ -45,10 +46,6 @@ from .corders import (
     LinearOrder,
     byte_form,
     circular_from_linear,
-    is_left_invariant,
-    is_left_order,
-    is_right_invariant,
-    is_right_order,
     survivors,
 )
 from .errors import (
@@ -61,6 +58,7 @@ from .groups import Perm, cycle_type
 
 # uncalled here: perfbench/tracing.py wraps these names; they can go once the
 # benchmark reads its layer times from a Stats collector instead
+from .corders import is_left_invariant, is_left_order, is_right_invariant, is_right_order  # noqa: F401
 from .groups import closure, is_cyclic, is_semiregular  # noqa: F401
 from .quandles import FiniteQuandle, is_involutory, is_latin, is_trivial_quandle
 from .quandles import orbits as quandle_orbits
@@ -151,6 +149,18 @@ class OrderSpace(Value):
 # ground sets
 
 
+def _unchecked(cls: type, field: str, perms: Iterable[tuple[int, ...]]) -> tuple:
+    """One `cls` per permutation in `perms`, held in `field`, built without the
+    constructor's checks, which every tuple `permutations` yields passes."""
+    new, put = object.__new__, object.__setattr__
+    orders = []
+    for p in perms:
+        order = new(cls)
+        put(order, field, p)
+        orders.append(order)
+    return tuple(orders)
+
+
 def enumerate_circular_orderings(n: int, caps: SearchCaps = DEFAULT_CAPS) -> tuple[CyclicOrder, ...]:
     """All circular orderings of an n-element carrier, as canonical arrangements.
 
@@ -163,7 +173,7 @@ def enumerate_circular_orderings(n: int, caps: SearchCaps = DEFAULT_CAPS) -> tup
         raise ResourceLimit("circular-ordering enumeration", n, caps.max_circular_n)
     if n <= 2:
         return (CyclicOrder(tuple(range(n))),)
-    return tuple(CyclicOrder((0, *rest)) for rest in permutations(range(1, n)))
+    return _unchecked(CyclicOrder, "arrangement", map((0,).__add__, permutations(range(1, n))))
 
 
 def enumerate_rankings(n: int, caps: SearchCaps = DEFAULT_CAPS) -> tuple[LinearOrder, ...]:
@@ -172,7 +182,7 @@ def enumerate_rankings(n: int, caps: SearchCaps = DEFAULT_CAPS) -> tuple[LinearO
         raise ValueError("carrier must be nonempty")
     if n > caps.max_linear_n:
         raise ResourceLimit("ranking enumeration", n, caps.max_linear_n)
-    return tuple(LinearOrder(p) for p in permutations(range(n)))
+    return _unchecked(LinearOrder, "ranking", permutations(range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,24 +264,18 @@ def _fast_left(q: FiniteQuandle, circle: bool) -> Verdict:
 
 
 class _Space(Value):
-    """One order space: a ground set filtered by a translation test.
-
-    The test comes in two forms. `member` decides one candidate with the
-    `corders` predicates; `_brute` and `embedding_image` call it, and it
-    looks its callees up as module globals when called, so a rebinding of,
-    say, `is_right_invariant` reaches both. `maps` feeds the byte kernel
-    `corders.survivors` instead, which filters a whole ground set for
-    `brute_space` and `census` and calls no predicate, so such a rebinding
-    does not reach those two.
+    """One order space: a ground set filtered by the translations `maps`
+    returns, each of which must send a member onto itself. `corders.survivors`
+    runs that test for every brute-tier path: `brute_space`, `_brute`,
+    `embedding_image` and `census`.
     """
 
-    _fields = ("ground", "maps", "member", "fast", "prop", "flag", "label", "exhausted")
+    _fields = ("ground", "maps", "fast", "prop", "flag", "label", "exhausted")
 
     def __init__(
         self,
         ground: Callable[[int, SearchCaps], tuple],
         maps: Callable[[FiniteQuandle], Iterable[Sequence[int]]],  # the translations tested
-        member: Callable[[CyclicOrder | LinearOrder, FiniteQuandle], bool],
         fast: Callable[[FiniteQuandle], Verdict],
         prop: str,  # CLI property name
         flag: str,  # census field holding the decision
@@ -279,7 +283,7 @@ class _Space(Value):
         exhausted: str,  # brute-force refutation, given the ground size
     ):
         self.__dict__.update(
-            ground=ground, maps=maps, member=member, fast=fast,
+            ground=ground, maps=maps, fast=fast,
             prop=prop, flag=flag, label=label, exhausted=exhausted,
         )
 
@@ -296,33 +300,27 @@ _columns, _rows = attrgetter("columns"), attrgetter("rows")
 
 SPACES = {
     "RCO": _Space(
-        _circular, _columns,
-        lambda c, q: is_right_invariant(c, q), lambda q: _fast_right(q, True),
+        _circular, _columns, lambda q: _fast_right(q, True),
         "right-circular", "right_circularly_orderable", "right-circular orderability",
         "none of the {} circular orderings is right-invariant",
     ),
     "LCO": _Space(
-        _circular, _rows,
-        lambda c, q: is_left_invariant(c, q), lambda q: _fast_left(q, True),
+        _circular, _rows, lambda q: _fast_left(q, True),
         "left-circular", "left_circularly_orderable", "left-circular orderability",
         "none of the {} circular orderings is left-invariant",
     ),
     "BCO": _Space(
-        _circular, lambda q: chain(q.columns, q.rows),
-        lambda c, q: is_right_invariant(c, q) and is_left_invariant(c, q),
-        lambda q: _fast_left(q, True),
+        _circular, lambda q: chain(q.columns, q.rows), lambda q: _fast_left(q, True),
         "bi-circular", "bi_circularly_orderable", "bi-circular orderability",
         "none of the {} circular orderings is both-invariant",
     ),
     "RO": _Space(
-        _rankings, _columns,
-        lambda o, q: is_right_order(o, q), lambda q: _fast_right(q, False),
+        _rankings, _columns, lambda q: _fast_right(q, False),
         "right-order", "right_orderable", "right orderability",
         "none of the {} rankings is a right ordering",
     ),
     "LO": _Space(
-        _rankings, _rows,
-        lambda o, q: is_left_order(o, q), lambda q: _fast_left(q, False),
+        _rankings, _rows, lambda q: _fast_left(q, False),
         "left-order", "left_orderable", "left orderability",
         "none of the {} rankings is a left ordering",
     ),
@@ -354,9 +352,9 @@ def brute_space(kind: str, q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) ->
 def _brute(kind: str, q: FiniteQuandle, caps: SearchCaps) -> Verdict:
     space = SPACES[kind]
     ground = space.ground(q.size, caps)
-    for x in ground:
-        if space.member(x, q):
-            return Verdict(True, witness=x)
+    found = survivors(byte_form(ground), space.maps(q))
+    if found:
+        return Verdict(True, witness=found[0])
     detail = space.exhausted.format(len(ground))
     return Verdict(False, certificate=Certificate(EXHAUSTED, {"checked": len(ground)}, detail))
 
@@ -577,19 +575,19 @@ def embedding_image(
 ) -> EmbeddingReport:
     """Close every right (or left) ordering into a cycle and report the fibers.
 
-    Each image member is re-verified against the matching invariance check;
-    rankings that are cyclic rotations of one another share an image point, so
-    fibers of size greater than one are expected and reported as-is.
+    The image is re-verified against the matching invariance test, all at
+    once; rankings that are cyclic rotations of one another share an image
+    point, so fibers of size greater than one are expected and reported as-is.
     """
     linear, circular = _side(side)
     space = enumerate_space(linear, q, caps)
-    invariant = SPACES[circular].member
     buckets: dict[CyclicOrder, list[LinearOrder]] = {}
     for o in space:
         c = circular_from_linear(o)
         buckets.setdefault(c, []).append(o)
+    invariant = set(survivors(byte_form(buckets), SPACES[circular].maps(q))) if buckets else set()
     for c in buckets:
-        if not invariant(c, q):
+        if c not in invariant:
             raise InternalInconsistency(
                 circular,
                 {"ordering-image": True, "invariance": False},

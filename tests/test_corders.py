@@ -228,8 +228,12 @@ class TestInvariance:
         assert left_invariance_witness(f, q) == (0, 0, 1, 2)
 
     def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            is_right_invariant(CyclicOrder((0, 1, 2)), trivial_quandle(4))
+        c, o = CyclicOrder((0, 1, 2)), LinearOrder((0, 1, 2))
+        for predicate, order in (
+            (is_right_invariant, c), (is_left_invariant, c), (is_right_order, o), (is_left_order, o),
+        ):
+            with pytest.raises(ValueError, match="carrier sizes differ"):
+                predicate(order, trivial_quandle(4))
 
     def test_vacuous_invariance_on_tiny_carriers(self):
         for n in (1, 2):

@@ -1,4 +1,5 @@
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,21 @@ class TestGroundSets:
         assert len(set(members)) == len(members)
         assert all(c.arrangement[0] == 0 for c in members)
         assert list(members) == sorted(members, key=lambda c: c.arrangement)
+
+    def test_members_equal_the_checked_constructions(self):
+        # the ground sets skip the constructors' checks, and build the same values
+        for n in range(1, 7):
+            assert enumerate_circular_orderings(n) == tuple(
+                CyclicOrder((0, *rest)) for rest in permutations(range(1, n))
+            )
+            assert enumerate_rankings(n) == tuple(LinearOrder(p) for p in permutations(range(n)))
+        for x, checked in (
+            (enumerate_circular_orderings(4)[3], CyclicOrder((0, 2, 3, 1))),
+            (enumerate_rankings(4)[7], LinearOrder((1, 0, 3, 2))),
+        ):
+            assert (hash(x), repr(x), x.size) == (hash(checked), repr(checked), checked.size)
+            with pytest.raises(AttributeError):
+                x.size = 5
 
     def test_circular_cap(self):
         with pytest.raises(ResourceLimit):
@@ -325,6 +341,23 @@ class TestCertificates:
             others = [k for k in SPACES if k != kind]
             assert not any(recheck_certificate(q, v.certificate, k) for k in others), kind
 
+    def test_brute_decision_agrees_with_brute_listing(self, labeled_catalog, class_catalog):
+        # a yes names the first member of the space; a no has scanned all
+        # (n-1)! arrangements or n! rankings and rechecks
+        quandles = [q for qs in labeled_catalog.values() for q in qs] + list(class_catalog[5])
+        for q in quandles:
+            n = q.size
+            for kind in SPACES:
+                v = decide(kind, q, strategy="brute")
+                listed = brute_space(kind, q).members
+                if v.answer:
+                    assert v.witness == listed[0], (kind, q.table)
+                else:
+                    assert listed == (), (kind, q.table)
+                    ground = factorial(n - 1) if kind in ("RCO", "LCO", "BCO") else factorial(n)
+                    assert v.certificate.data == {"checked": ground}, (kind, q.table)
+                    assert recheck_certificate(q, v.certificate, kind), (kind, q.table)
+
     def test_forged_exhaustive_certificate_rejected(self):
         q = trivial_quandle(3)  # RCO has 2 members
         rco = "none of the 2 circular orderings is right-invariant"
@@ -469,7 +502,8 @@ class TestEmbedding:
         )
 
     def test_failed_recheck_raises_internal_inconsistency(self, monkeypatch):
-        rco = {**vars(search.SPACES["RCO"]), "member": lambda c, q: False}
+        # a reflection reverses every circle of three or more points
+        rco = {**vars(search.SPACES["RCO"]), "maps": lambda q: [tuple(reversed(range(q.size)))]}
         monkeypatch.setitem(search.SPACES, "RCO", search._Space(**rco))
         with pytest.raises(InternalInconsistency) as info:
             embedding_image(trivial_quandle(3), "right")

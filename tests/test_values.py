@@ -20,7 +20,7 @@ Z3 = FiniteGroup(((0, 1, 2), (1, 2, 0), (2, 0, 1)), 0)
 C3 = CyclicOrder((0, 1, 2))
 PAIRS = frozenset({(0, 1), (1, 0)})
 RCO, LCO = search.SPACES["RCO"], search.SPACES["LCO"]
-SPACE_FIELDS = ("ground", "maps", "member", "fast", "prop", "flag", "label", "exhausted")
+SPACE_FIELDS = ("ground", "maps", "fast", "prop", "flag", "label", "exhausted")
 
 
 def _case(value, same, other, compared, fields, text):
