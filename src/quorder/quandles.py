@@ -2,18 +2,22 @@
 
 The table is row-major with rows holding the left argument: entry (i, j) is
 i*j. Right translations are therefore column read-offs and left translations
-are row read-offs. Construction always runs the full axiom check, so no
-constructor can hand out an invalid table. Right-distributivity is checked
-in C, one column at a time (`groups.holds_per_column`), on carriers of at
-most `groups.BYTE_N` = 256 points; the O(n^3) Python triple scan runs only
-above that, or after that check fails, to name the first failing triple.
+are row read-offs. The constructor always runs the full axiom check, so
+every table built through it, and every quandle the package returns, is
+valid. One private path skips it: `search.generate_all_quandles` wraps the
+tables its column search finds without a check, only to compare their
+canonical forms, and builds each class it returns through the constructor.
+Right-distributivity is checked in C, one column at a time
+(`groups.holds_per_column`), on carriers of at most `groups.BYTE_N` = 256
+points; the O(n^3) Python triple scan runs only above that, or after that
+check fails, to name the first failing triple.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, permutations
 
 from .errors import NotAQuandle, NotInvertible, ResourceLimit
@@ -100,22 +104,19 @@ def _least_relabelling(table) -> tuple[tuple[int, ...], ...]:
     """The least of the n! relabellings p of the table, row-major, where p
     sends entry (i, j) = v to (p[i], p[j]) = p[v].
 
-    A relabelling is held as the byte string ib of the old points in
-    new-label order (ib = p^-1), and pt = bytes.maketrans(ib, ident) sends
-    old points to new labels (pt = p), so row i of the relabelled table is
-    ib.translate(rows[ib[i]]).translate(pt): old row ib[i], read in
-    new-label order, relabelled. The rows are byte strings, which compare
-    as the tuples of ints do. A candidate is dropped at the first row that
-    exceeds the same row of the least table so far, since the rows after it
-    cannot make it smaller.
+    The relabellings are the pairs (ib, pt) of `_relabellings(n)`, shared by
+    every table of the order: ib holds the old points in new-label order
+    (ib = p^-1) and pt sends old points to new labels (pt = p), so row i of
+    the relabelled table is ib.translate(rows[ib[i]]).translate(pt): old row
+    ib[i], read in new-label order, relabelled. The rows are byte strings,
+    which compare as the tuples of ints do. A candidate is dropped at the
+    first row that exceeds the same row of the least table so far, since the
+    rows after it cannot make it smaller.
     """
     n = len(table)
-    ident = bytes(range(n))
     rows = [bytes(row).ljust(BYTE_N, b"\0") for row in table]
-    maketrans = bytes.maketrans
     best = [b"\xff" * n] * n  # above every row of a relabelling
-    for ib in map(bytes, permutations(ident)):
-        pt = maketrans(ib, ident)
+    for ib, pt in _relabellings(n):
         row = ib.translate(rows[ib[0]]).translate(pt)
         if row > best[0]:
             continue
@@ -131,6 +132,18 @@ def _least_relabelling(table) -> tuple[tuple[int, ...], ...]:
         else:
             best = cand
     return tuple(map(tuple, best))
+
+
+@lru_cache(maxsize=1)
+def _relabellings(n: int) -> tuple[tuple[bytes, bytes], ...]:
+    """The n! relabellings of an n-point carrier in `permutations` order, each
+    as (ib, pt): ib the byte string of a permutation, pt =
+    bytes.maketrans(ib, ident) its inverse as a 256-byte translation table,
+    so ib.translate(pt) is ident. Only the last order asked for is kept
+    (1.9 MB at n = 7, 15.8 MB at n = 8)."""
+    ident = bytes(range(n))
+    maketrans = bytes.maketrans
+    return tuple((ib, maketrans(ib, ident)) for ib in map(bytes, permutations(ident)))
 
 
 def _distributive_side(col: bytes, maps: list[bytes]) -> bytes:

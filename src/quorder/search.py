@@ -149,16 +149,18 @@ class OrderSpace(Value):
 # ground sets
 
 
-def _unchecked(cls: type, field: str, perms: Iterable[tuple[int, ...]]) -> tuple:
-    """One `cls` per permutation in `perms`, held in `field`, built without the
-    constructor's checks, which every tuple `permutations` yields passes."""
+def _unchecked(cls: type, field: str, values: Iterable) -> tuple:
+    """One `cls` per value, held in `field` and built without the constructor
+    or its checks, for values known to pass them: the tuples `permutations`
+    yields, and the tables the column search finds (of which only the
+    canonical form is read)."""
     new, put = object.__new__, object.__setattr__
-    orders = []
-    for p in perms:
-        order = new(cls)
-        put(order, field, p)
-        orders.append(order)
-    return tuple(orders)
+    objects = []
+    for value in values:
+        obj = new(cls)
+        put(obj, field, value)
+        objects.append(obj)
+    return tuple(objects)
 
 
 def enumerate_circular_orderings(n: int, caps: SearchCaps = DEFAULT_CAPS) -> tuple[CyclicOrder, ...]:
@@ -681,6 +683,14 @@ def generate_all_quandles(n: int, up_to_iso: bool = False) -> tuple[FiniteQuandl
     no other relabelling search: `are_isomorphic` dedupes the tables by
     comparing their forms, and each class is returned as its form, with the
     classes sorted by those forms: the numbering `census` reports.
+
+    Every quandle returned passes the FiniteQuandle constructor's axiom
+    check, once: the labelled output is every table found, each built by
+    the constructor, while with up_to_iso the tables found are wrapped for
+    the dedupe without a check (`_unchecked`) and only the class forms are
+    built by the constructor. A form is a relabelling of its table, so it
+    is a quandle exactly when the table is, and a table the column search
+    should not have found still raises NotAQuandle.
     """
     if n > MAX_GENERATE_N:
         raise ResourceLimit("quandle generation", n, MAX_GENERATE_N)
@@ -696,8 +706,8 @@ def generate_all_quandles(n: int, up_to_iso: bool = False) -> tuple[FiniteQuandl
     reps: list[FiniteQuandle] = []
     for ctype, first in firsts.items():
         bounded = [[first]] + [[p for t, p in column if t <= ctype] for column in typed[1:]]
-        for cols in _column_search(bounded):
-            q = FiniteQuandle(_transpose(cols))
+        found = _column_search(bounded)
+        for q in _unchecked(FiniteQuandle, "table", map(_transpose, found)):
             if not any(are_isomorphic(q, r) for r in reps):
                 reps.append(q)
     return tuple(FiniteQuandle(t) for t in sorted(canonical_form(q) for q in reps))

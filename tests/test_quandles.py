@@ -1,3 +1,4 @@
+import functools
 from itertools import permutations, product
 
 import pytest
@@ -171,6 +172,35 @@ class TestValidationOracle:
             FiniteQuandle(q.table)
         with pytest.raises(AssertionError, match="triple scan"):
             FiniteQuandle([[0, 2, 0], [2, 1, 1], [1, 0, 2]])
+
+
+class TestRelabellings:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_pairs_in_permutations_order(self, n):
+        pairs = quandles._relabellings(n)
+        ident = bytes(range(n))
+        assert [ib for ib, _ in pairs] == [bytes(p) for p in permutations(range(n))]
+        assert all(len(pt) == 256 and ib.translate(pt) == ident for ib, pt in pairs)
+
+    def test_one_order_is_kept(self):
+        assert quandles._relabellings.cache_info().maxsize == 1
+        first = quandles._relabellings(4)
+        assert quandles._relabellings(4) is first
+        quandles._relabellings(3)
+        assert quandles._relabellings.cache_info().currsize == 1
+        assert quandles._relabellings(4) is not first
+
+    def test_tables_of_one_order_share_the_pairs(self, monkeypatch):
+        built = []
+        relabellings = quandles._relabellings.__wrapped__
+
+        def counted(n):
+            built.append(n)
+            return relabellings(n)
+
+        monkeypatch.setattr(quandles, "_relabellings", functools.lru_cache(maxsize=1)(counted))
+        assert len(generate_all_quandles(5, up_to_iso=True)) == 22
+        assert built == [5]
 
 
 class TestFamilies:

@@ -2,8 +2,10 @@ from itertools import permutations, product
 from math import factorial
 
 import pytest
+from definitional import left_invariance_witness, right_invariance_witness
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_corders import pairwise_monotone
 
 from quorder import (
     CyclicOrder,
@@ -769,6 +771,35 @@ class TestIsomorphism:
         assert len(scans) == len(found) == 36
         assert sorted(scans) == sorted(search._transpose(cols) for cols in found)
 
+    def test_generation_validates_each_class_once(self, monkeypatch):
+        # the up_to_iso path checks the axioms of its class forms only; the
+        # labelled path checks every table it returns
+        checked = []
+        holds = quandles.holds_per_column
+
+        def counted_check(table, side):
+            checked.append(table)
+            return holds(table, side)
+
+        monkeypatch.setattr(quandles, "holds_per_column", counted_check)
+        classes = generate_all_quandles(5, up_to_iso=True)
+        assert sorted(checked) == sorted(q.table for q in classes)
+        assert len(checked) == 22
+        checked.clear()
+        assert len(generate_all_quandles(4)) == len(checked) == 36
+
+    def test_generation_still_rejects_a_table_that_is_not_a_quandle(self, monkeypatch):
+        # bijective columns, each fixing its own index, that are not
+        # distributive: the class form built from them must fail its check
+        bad = ((0, 2, 1), (2, 1, 0), (0, 1, 2))
+        with pytest.raises(NotAQuandle) as exc:
+            FiniteQuandle(search._transpose(bad))
+        assert exc.value.axiom == "right-distributivity"
+        monkeypatch.setattr(search, "_column_search", lambda candidates: [bad])
+        with pytest.raises(NotAQuandle) as exc:
+            generate_all_quandles(3, up_to_iso=True)
+        assert exc.value.axiom == "right-distributivity"
+
     def test_isomorphism_of_quandles_with_cached_forms_runs_no_scan(self, monkeypatch):
         q = dihedral_quandle(5)
         relabelled = _relabel(q, (4, 0, 3, 1, 2))
@@ -907,14 +938,21 @@ class TestCensus:
                 assert record[f"{kind.lower()}_size"] == len(brute_space(kind, q)), (kind, q.table)
 
     def test_census_sizes_match_member_tests_on_order_6(self):
-        # the census filters in byte form; the per-member predicates are
-        # the same tests, one candidate at a time
+        # the census filters in byte form; the oracle is the definition, one
+        # candidate at a time: the triple scan for the circular spaces and
+        # every ordered pair for the rankings
+        def right(c, q):
+            return right_invariance_witness(c, q) is None
+
+        def left(c, q):
+            return left_invariance_witness(c, q) is None
+
         tests = {
-            "RCO": is_right_invariant,
-            "LCO": is_left_invariant,
-            "BCO": lambda c, q: is_right_invariant(c, q) and is_left_invariant(c, q),
-            "RO": is_right_order,
-            "LO": is_left_order,
+            "RCO": right,
+            "LCO": left,
+            "BCO": lambda c, q: right(c, q) and left(c, q),
+            "RO": lambda o, q: pairwise_monotone(o, q.columns),
+            "LO": lambda o, q: pairwise_monotone(o, q.rows),
         }
         circles, rankings = enumerate_circular_orderings(6), enumerate_rankings(6)
         records = [r for r in census(6) if r["order"] == 6]
