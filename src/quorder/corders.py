@@ -12,10 +12,14 @@ One translation test decides every order space: a map preserves a cyclic
 arrangement exactly when it shifts the arrangement by a fixed number of
 places, and a map is strictly increasing for a ranking exactly when it
 sends the ranking onto itself. `survivors` runs it in C over a ground set's
-byte form (`byte_form`): each member as a byte string, so a carrier has at
-most 256 points. For each map in turn it translates the surviving members
-with `bytes.translate` and keeps those whose image is a window of their
-target, with `map`, `bytes.count` and `compress`. An arrangement's target is
+byte form (`ByteForm`): each member as a byte string, so a carrier has at
+most 256 points. The byte strings are the members: `survivors` returns the
+ones kept, and a caller builds order objects only for what it hands on.
+`search.ground_form` builds the form of a whole ground set straight from
+`itertools.permutations`; `byte_form` takes it from orders already built.
+For each map in turn `survivors` translates the surviving members with
+`bytes.translate` and keeps those whose image is a window of their target,
+with `map`, `bytes.count` and `compress`. An arrangement's target is
 the arrangement doubled, whose n-byte windows are its rotations. A ranking's
 target is the ranking itself: a strictly increasing self-map of an n-point
 chain sends its ranks 0..n-1 to themselves, so the image must equal the
@@ -136,30 +140,32 @@ def circular_from_linear(o: LinearOrder) -> CyclicOrder:
 class ByteForm(Value):
     """A ground set of arrangements or rankings of `size` points in byte form.
 
-    `forms` holds each member as bytes, in ground-set order, and `targets`
-    the bytes its image under a map must be a window of: the arrangement
-    doubled, whose n-byte windows are its rotations, or the ranking itself,
-    whose only n-byte window is itself. Built once per carrier size, it
-    serves every quandle of that size.
+    `forms` holds each member as bytes, in ground-set order; the byte
+    strings are the members, and only a caller that returns members builds
+    objects from them. `targets` holds the bytes each member's image under a
+    map must be a window of: the arrangement doubled, whose n-byte windows
+    are its rotations, or the ranking itself, whose only n-byte window is
+    itself. Built once per carrier size, it serves every quandle of that
+    size.
     """
 
-    _fields = ("members", "size", "circle", "forms", "targets")
+    _fields = ("forms", "circle")
 
-    def __init__(self, members: tuple, size: int, circle: bool, forms: tuple, targets: tuple):
-        self.__dict__.update(members=members, size=size, circle=circle, forms=forms, targets=targets)
+    def __init__(self, forms: tuple[bytes, ...], circle: bool):
+        targets = tuple(map(bytes.__add__, forms, forms)) if circle else forms
+        self.__dict__.update(forms=forms, circle=circle, size=len(forms[0]), targets=targets)
 
 
 def byte_form(ground: Sequence[CyclicOrder] | Sequence[LinearOrder]) -> ByteForm:
-    """The byte form of a nonempty ground set of circular orderings or of rankings."""
+    """The byte form of a nonempty collection of circular orderings or of rankings."""
     ground = tuple(ground)
     circle = ground[0].__class__ is CyclicOrder
-    forms = tuple(map(bytes, map(attrgetter("arrangement" if circle else "ranking"), ground)))
-    targets = tuple(map(bytes.__add__, forms, forms)) if circle else forms
-    return ByteForm(ground, len(forms[0]), circle, forms, targets)
+    return ByteForm(tuple(map(bytes, map(attrgetter("arrangement" if circle else "ranking"), ground))), circle)
 
 
-def survivors(form: ByteForm, maps: Iterable[Sequence[int]]) -> tuple:
-    """The members of the form that every map preserves, in ground-set order.
+def survivors(form: ByteForm, maps: Iterable[Sequence[int]]) -> tuple[bytes, ...]:
+    """The members of the form that every map preserves, as byte strings, in
+    ground-set order.
 
     Each map is one translation table, through which `bytes.translate`
     maps every member still alive; `bytes.count` then finds each image in
@@ -167,24 +173,23 @@ def survivors(form: ByteForm, maps: Iterable[Sequence[int]]) -> tuple:
     itself, so it keeps every member untested, and the scan stops once no
     member is left.
     """
-    members = form.members
+    forms = form.forms
     n = form.size
     # every triple of n <= 2 points is degenerate: any map preserves the zero ordering
     if form.circle and n <= 2:
-        return members
-    forms, targets = form.forms, form.targets
+        return forms
+    targets = form.targets
     identity = bytes(range(n))
     for m in maps:
         table = bytes(m)
         if table == identity:
             continue
         keep = list(map(bytes.count, targets, map(bytes.translate, forms, repeat(table.ljust(256)))))
-        members = tuple(compress(members, keep))
-        if not members:
-            break
         forms = tuple(compress(forms, keep))
-        targets = tuple(compress(targets, keep))
-    return members
+        if not forms:
+            break
+        targets = tuple(compress(targets, keep)) if form.circle else forms
+    return forms
 
 
 # ---------------------------------------------------------------------------

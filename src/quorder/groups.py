@@ -109,6 +109,16 @@ def holds_per_column(table, right_side) -> bool:
     return True
 
 
+def first_non_int(table) -> tuple[int, int] | None:
+    """(i, j) of the first entry, in row-major order, that is not an int
+    (bools are ints), or None."""
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            if not isinstance(v, int):
+                return i, j
+    return None
+
+
 def _associative_side(col: bytes, maps: list[bytes]) -> bytes:
     """a*(b*c) for all a and b, in row-major order, c the given column."""
     return b"".join(map(col.translate, maps))
@@ -138,7 +148,10 @@ class FiniteGroup(Value):
     Associativity is compared column by column in C (`holds_per_column`) on
     carriers of at most BYTE_N points. The triple scan runs above that, and
     whenever the comparison fails, so that NotAGroup names the first failing
-    (a, b, c) in lexicographic order.
+    (a, b, c) in lexicographic order. An entry that is not an int is out of
+    range; one that equals a point, such as 1.0, is named (the first such
+    entry) where the associativity check meets it, unless an axiom checked
+    before that fails first.
     """
 
     _fields = ("table", "identity", "name")
@@ -155,7 +168,7 @@ class FiniteGroup(Value):
                 if len(row) != n:
                     raise NotAGroup("table is not square", (i,))
                 for j, v in enumerate(row):
-                    if not (0 <= v < n):
+                    if not (isinstance(v, int) and 0 <= v < n):
                         raise NotAGroup("entry out of range", (i, j))
         for i, row in enumerate(table):
             if len(set(row)) != n:
@@ -169,8 +182,11 @@ class FiniteGroup(Value):
         for x in range(n):
             if table[e][x] != x or table[x][e] != x:
                 raise NotAGroup("identity fails", (e, x))
-        if n > BYTE_N or not holds_per_column(table, _associative_side):
-            _scan_associativity(table)
+        try:
+            if n > BYTE_N or not holds_per_column(table, _associative_side):
+                _scan_associativity(table)
+        except TypeError:  # an entry equal to a point, such as 0.0, that is no int
+            raise NotAGroup("entry out of range", first_non_int(table)) from None
 
     @property
     def size(self) -> int:

@@ -11,6 +11,13 @@ Right-distributivity is checked in C, one column at a time
 (`groups.holds_per_column`), on carriers of at most `groups.BYTE_N` = 256
 points; the O(n^3) Python triple scan runs only above that, or after that
 check fails, to name the first failing triple.
+
+A quandle keeps its translation maps as fields (`rows`, the table, and
+`columns`, its transpose) and computes two facts about them once, on first
+use: the first right translation that moves a point (`first_moved`) and
+the first left translation that merges two points (`first_merged`). The
+fast decisions of `search` and the predicates `is_trivial_quandle` and
+`is_latin` read them.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .groups import (
     check_carrier,
     closure,
     compose,
+    first_non_int,
     holds_per_column,
     identity_perm,
     product_table,
@@ -41,12 +49,21 @@ MAX_CANONICAL_N = 8  # canonical forms (n! relabellings) are computed up to this
 class FiniteQuandle(Value):
     """Quandle on {0..n-1}, entry (i, j) = i*j; a bad table raises NotAQuandle.
 
+    `size`, `rows` (left translations, rows[s][t] = s*t) and `columns` (right
+    translations, columns[s][t] = t*s) are plain fields. The cached
+    `first_moved` and `first_merged` name the first right translation that
+    moves a point and the first left translation that merges two; the fast
+    path's certificates and the structure predicates read them.
+
     NotAQuandle names the first axiom that fails and its first witness: a
     row, then an entry (i, j), in row-major order; a diagonal entry; a
     column; a triple (a, b, c) in lexicographic order. The entries and the
     triples are first checked as a whole, and an entry-by-entry or
     triple-by-triple Python scan runs only when that check fails, to find
-    the witness.
+    the witness. An entry that is not an int is out of range; one that
+    equals a point, such as 1.0, gets through the set check, and is named
+    (the first such entry) where the distributivity check meets it, unless
+    an axiom checked before that fails first.
     """
 
     _fields = ("table", "name")
@@ -54,9 +71,9 @@ class FiniteQuandle(Value):
 
     def __init__(self, table: Sequence[Sequence[int]], name: str | None = None):
         table = tuple(map(tuple, table))
-        # right-translation maps, columns[s][t] = t*s; read off during validation
-        self.__dict__.update(table=table, name=name, columns=tuple(zip(*table)))
         n = len(table)
+        # the columns are read off during validation
+        self.__dict__.update(table=table, name=name, size=n, rows=table, columns=tuple(zip(*table)))
         if n == 0:
             raise NotAQuandle("nonempty carrier", ())
         if set(map(len, table)) != {n} or not set(range(n)).issuperset(chain.from_iterable(table)):
@@ -64,7 +81,7 @@ class FiniteQuandle(Value):
                 if len(row) != n:
                     raise NotAQuandle("square table", (i,))
                 for j, v in enumerate(row):
-                    if not (0 <= v < n):
+                    if not (isinstance(v, int) and 0 <= v < n):
                         raise NotAQuandle("entry in range", (i, j))
         for i in range(n):
             if table[i][i] != i:
@@ -72,20 +89,45 @@ class FiniteQuandle(Value):
         for j, col in enumerate(self.columns):
             if len(set(col)) != n:
                 raise NotAQuandle("right-bijectivity", (j,))
-        if n > BYTE_N or not holds_per_column(table, _distributive_side):
-            _scan_distributivity(table)
-
-    @property
-    def size(self) -> int:
-        return len(self.table)
+        try:
+            if n > BYTE_N or not holds_per_column(table, _distributive_side):
+                _scan_distributivity(table)
+        except TypeError:  # an entry equal to a point, such as 0.0, that is no int
+            raise NotAQuandle("entry in range", first_non_int(table)) from None
 
     def op(self, a: int, b: int) -> int:
         return self.table[a][b]
 
     @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Left-translation maps: rows[s][t] = s*t (not bijective in general)."""
-        return self.table
+    def first_moved(self) -> tuple[int, int, int] | None:
+        """The first right translation that moves a point, as (s, t, t*s): s
+        the least point whose column is not the identity, t the least point
+        R_s moves; None on a trivial quandle. Computed on first use and
+        kept: the right side of the fast path and `is_trivial_quandle` read
+        it."""
+        for s, col in enumerate(self.columns):
+            for t, image in enumerate(col):
+                if image != t:
+                    return s, t, image
+        return None
+
+    @cached_property
+    def first_merged(self) -> tuple[int, int, int, int] | None:
+        """The first left translation that merges two points, as
+        (s, t1, t2, s*t2): s the least point whose row is not injective, t2
+        the least point whose image under L_s an earlier point has, t1 the
+        least such point; None on a latin quandle. Computed on first use and
+        kept: the left side of the fast path and `is_latin` read it."""
+        n = self.size
+        for s, row in enumerate(self.rows):
+            if len(set(row)) == n:
+                continue
+            seen: dict[int, int] = {}
+            for t, image in enumerate(row):
+                if image in seen:
+                    return s, seen[image], t, image
+                seen[image] = t
+        return None
 
     @cached_property
     def canonical_table(self) -> tuple[tuple[int, ...], ...]:
@@ -245,9 +287,10 @@ def inner_group(q: FiniteQuandle) -> PermutationGroup:
 
 
 def is_latin(q: FiniteQuandle) -> bool:
-    """Every left translation is a bijection."""
-    n = q.size
-    return all(sorted(row) == list(range(n)) for row in q.rows)
+    """Every left translation is a bijection: no row merges two points
+    (`FiniteQuandle.first_merged`), and an injective self-map of a finite
+    carrier is onto."""
+    return q.first_merged is None
 
 
 def is_involutory(q: FiniteQuandle) -> bool:
@@ -257,33 +300,35 @@ def is_involutory(q: FiniteQuandle) -> bool:
 
 
 def is_trivial_quandle(q: FiniteQuandle) -> bool:
-    """Every right translation is the identity: s*e = s for all s and e."""
-    ident = identity_perm(q.size)
-    return all(col == ident for col in q.columns)
+    """Every right translation is the identity, s*e = s for all s and e: no
+    column moves a point (`FiniteQuandle.first_moved`)."""
+    return q.first_moved is None
 
 
 def orbits(q: FiniteQuandle) -> tuple[tuple[int, ...], ...]:
     """Orbit decomposition of the carrier under the inner group, each orbit
     sorted, ordered by least point.
 
-    The inner group is generated by the right translations, so t and R_s(t)
-    share an orbit for every s, and the orbits are the classes these links
-    generate: a union-find over the n^2 column entries, which builds no
-    group. The points are then read off in increasing order, which sorts
-    each orbit and lists the orbits by least point.
+    The inner group is generated by the right translations, a finite set of
+    permutations, so the orbit of x is every point reached from x by
+    applying them: the closure of {x} under y -> y*s for all s, whose
+    images are row y. Each point's row is read once. The least point not yet
+    in an orbit starts the next one, so the orbits come out ordered by least
+    point, and no group is built.
     """
-    parent = list(range(q.size))
-
-    def root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for col in q.columns:
-        for t, image in enumerate(col):
-            parent[root(t)] = root(image)
-    classes: dict[int, list[int]] = {}
+    rows = q.rows
+    placed: set[int] = set()
+    out = []
     for x in range(q.size):
-        classes.setdefault(root(x), []).append(x)
-    return tuple(tuple(members) for members in classes.values())
+        if x in placed:
+            continue
+        orbit = {x}
+        reached = [x]
+        for y in reached:  # grows while it is read
+            for z in rows[y]:
+                if z not in orbit:
+                    orbit.add(z)
+                    reached.append(z)
+        placed |= orbit
+        out.append(tuple(sorted(orbit)))
+    return tuple(out)

@@ -13,20 +13,26 @@ decides both the circle and the chain, and no decision builds a permutation
 group. A negative verdict carries a pointwise certificate naming one
 translation that breaks the order: on the right side (RCO, RO) the first
 right translation that moves a point, on the left side (LCO, BCO, LO) the
-first non-injective left translation, else L_0, which moves 1.
+first non-injective left translation, else L_0, which moves 1. Both facts
+are computed once per quandle and kept (`FiniteQuandle.first_moved` and
+`first_merged`), so the five fast paths, and `is_trivial_quandle` and
+`is_latin`, read them instead of scanning the translations again.
 
 By the same lemma a finite order space is either its whole ground set of
 arrangements or rankings or empty, so `enumerate_space` is a closed form:
 it takes the fast verdict, builds nothing for a no, and returns the ground
-set unfiltered for a yes. The brute tier filters the ground set with the
-translation test, `corders.survivors`, which runs in C over the ground
-set's byte form, one map at a time. `brute_space` lists what it keeps,
-`decide`'s brute strategy takes the first member kept as its witness, and
-`embedding_image` re-checks the image of the ranking space with it. The
-brute tier is the independent oracle, and only oracle paths run it:
-`decide`'s auto strategy diffs the two tiers up to ORACLE_MAX_N points, and
-`census` diffs every fast-path verdict against the size the same filter
-finds on a byte form built once per order.
+set unfiltered for a yes. The brute tier filters byte forms with the
+translation test, `corders.survivors`, which runs in C one map at a time.
+`ground_form` builds a ground set's byte form straight from the tuples
+`itertools.permutations` yields, and the brute tier makes order objects
+only for what it returns: `brute_space` for the members it keeps, and
+`decide`'s brute strategy for the first of them, its witness.
+`embedding_image` re-checks the image of the ranking space with the same
+filter, on the arrangements it already holds. The brute tier is the
+independent oracle, and only oracle paths run it: `decide`'s auto strategy
+diffs the two tiers up to ORACLE_MAX_N points, and `census` diffs every
+fast-path verdict against the size the same filter finds on byte forms
+built once per order, without building any order object for them.
 
 The census classifies the quandles of each order up to isomorphism by one
 relabelling search: the canonical form, the least of a table's n!
@@ -149,18 +155,37 @@ class OrderSpace(Value):
 # ground sets
 
 
-def _unchecked(cls: type, field: str, values: Iterable) -> tuple:
-    """One `cls` per value, held in `field` and built without the constructor
-    or its checks, for values known to pass them: the tuples `permutations`
-    yields, and the tables the column search finds (of which only the
-    canonical form is read)."""
+def _unchecked(cls: type, field: str, values: Iterable, **shared) -> tuple:
+    """One `cls` per value, held in `field`, with the `shared` fields set on
+    every object, built without the constructor or its checks, for values
+    known to pass them: the tuples `permutations` yields (or their byte
+    forms, read back as tuples), and the tables the column search finds (of
+    which only the size and the canonical form are read)."""
     new, put = object.__new__, object.__setattr__
     objects = []
     for value in values:
         obj = new(cls)
         put(obj, field, value)
+        if shared:
+            vars(obj).update(shared)
         objects.append(obj)
     return tuple(objects)
+
+
+def _arrangements(n: int, circle: bool, caps: SearchCaps) -> Iterable[tuple[int, ...]]:
+    """The ground set of n points as tuples straight from `permutations`, in
+    lexicographic order, once the caps allow it: the (n-1)! cyclic
+    arrangements starting at 0 (circle; one, the zero ordering, for n <= 2)
+    or the n! rankings."""
+    if n < 1:
+        raise ValueError("carrier must be nonempty")
+    if circle:
+        if n > caps.max_circular_n:
+            raise ResourceLimit("circular-ordering enumeration", n, caps.max_circular_n)
+        return map((0,).__add__, permutations(range(1, n)))
+    if n > caps.max_linear_n:
+        raise ResourceLimit("ranking enumeration", n, caps.max_linear_n)
+    return permutations(range(n))
 
 
 def enumerate_circular_orderings(n: int, caps: SearchCaps = DEFAULT_CAPS) -> tuple[CyclicOrder, ...]:
@@ -169,22 +194,27 @@ def enumerate_circular_orderings(n: int, caps: SearchCaps = DEFAULT_CAPS) -> tup
     One zero ordering for n <= 2, else the (n-1)! arrangements starting at 0,
     in lexicographic order.
     """
-    if n < 1:
-        raise ValueError("carrier must be nonempty")
-    if n > caps.max_circular_n:
-        raise ResourceLimit("circular-ordering enumeration", n, caps.max_circular_n)
-    if n <= 2:
-        return (CyclicOrder(tuple(range(n))),)
-    return _unchecked(CyclicOrder, "arrangement", map((0,).__add__, permutations(range(1, n))))
+    return _unchecked(CyclicOrder, "arrangement", _arrangements(n, True, caps))
 
 
 def enumerate_rankings(n: int, caps: SearchCaps = DEFAULT_CAPS) -> tuple[LinearOrder, ...]:
     """All n! rankings of the carrier in lexicographic order."""
-    if n < 1:
-        raise ValueError("carrier must be nonempty")
-    if n > caps.max_linear_n:
-        raise ResourceLimit("ranking enumeration", n, caps.max_linear_n)
-    return _unchecked(LinearOrder, "ranking", permutations(range(n)))
+    return _unchecked(LinearOrder, "ranking", _arrangements(n, False, caps))
+
+
+def ground_form(n: int, circle: bool, caps: SearchCaps = DEFAULT_CAPS) -> ByteForm:
+    """The byte form of the arrangements (circle) or the rankings of n points,
+    each member the byte string of a `permutations` tuple, under the same
+    caps as `enumerate_circular_orderings` and `enumerate_rankings` and in
+    the same order; no CyclicOrder or LinearOrder is built."""
+    return ByteForm(tuple(map(bytes, _arrangements(n, circle, caps))), circle)
+
+
+def _orders(circle: bool, forms: Iterable[bytes]) -> tuple:
+    """The CyclicOrder (circle) or LinearOrder that each byte form holds."""
+    if circle:
+        return _unchecked(CyclicOrder, "arrangement", map(tuple, forms))
+    return _unchecked(LinearOrder, "ranking", map(tuple, forms))
 
 
 # ---------------------------------------------------------------------------
@@ -202,49 +232,43 @@ def _identity_order(n: int, circle: bool) -> CyclicOrder | LinearOrder:
 
 
 def _first_non_injective_left(q: FiniteQuandle) -> Certificate | None:
-    n = q.size
-    for s, row in enumerate(q.rows):
-        if len(set(row)) == n:
-            continue
-        seen: dict[int, int] = {}
-        for t in range(n):
-            if row[t] in seen:
-                return Certificate(
-                    NON_INJECTIVE_LEFT,
-                    {"base": s, "pair": [seen[row[t]], t], "image": row[t]},
-                    f"left translation by {s} sends both {seen[row[t]]} and {t} to {row[t]}",
-                )
-            seen[row[t]] = t
-    return None
+    merged = q.first_merged
+    if merged is None:
+        return None
+    s, t1, t2, image = merged
+    return Certificate(
+        NON_INJECTIVE_LEFT,
+        {"base": s, "pair": [t1, t2], "image": image},
+        f"left translation by {s} sends both {t1} and {t2} to {image}",
+    )
 
 
 def _fast_right(q: FiniteQuandle, circle: bool) -> Verdict:
     """RCO (circle) or RO: R_s fixes s, so a right translation that preserves
     the order is the identity, and only trivial quandles qualify. Every
     quandle on at most two points is trivial, so the circle needs no n <= 2
-    case. A no names the first right translation that moves a point."""
-    n = q.size
+    case. A no names the first right translation that moves a point
+    (`FiniteQuandle.first_moved`)."""
+    moved = q.first_moved
+    if moved is None:
+        return Verdict(True, witness=_identity_order(q.size, circle))
+    s, t, image = moved
     why = _CIRCLE if circle else "a strictly increasing bijection of a finite chain is the identity"
-    for s in range(n):
-        col = q.columns[s]
-        for t in range(n):
-            if col[t] != t:
-                return Verdict(
-                    False,
-                    certificate=Certificate(
-                        NON_IDENTITY_RIGHT,
-                        {"base": s, "point": t, "image": col[t]},
-                        f"right translation by {s} moves {t} to {col[t]}; {why}",
-                    ),
-                )
-    return Verdict(True, witness=_identity_order(n, circle))
+    return Verdict(
+        False,
+        certificate=Certificate(
+            NON_IDENTITY_RIGHT,
+            {"base": s, "point": t, "image": image},
+            f"right translation by {s} moves {t} to {image}; {why}",
+        ),
+    )
 
 
 def _fast_left(q: FiniteQuandle, circle: bool) -> Verdict:
     """LCO and BCO (circle) or LO: no left translation is the identity, so
     beyond two points (the circle) or one point (the chain) the answer is no.
-    A no names the first non-injective left translation, else L_0, which
-    fixes 0 and moves 1."""
+    A no names the first non-injective left translation
+    (`FiniteQuandle.first_merged`), else L_0, which fixes 0 and moves 1."""
     n = q.size
     if n <= (2 if circle else 1):
         return Verdict(True, witness=_identity_order(n, circle))
@@ -266,17 +290,19 @@ def _fast_left(q: FiniteQuandle, circle: bool) -> Verdict:
 
 
 class _Space(Value):
-    """One order space: a ground set filtered by the translations `maps`
-    returns, each of which must send a member onto itself. `corders.survivors`
-    runs that test for every brute-tier path: `brute_space`, `_brute`,
-    `embedding_image` and `census`.
+    """One order space: a ground set, the arrangements (circle) or the
+    rankings, filtered by the translations `maps` returns, each of which must
+    send a member onto itself. `corders.survivors` runs that test for every
+    brute-tier path on byte forms: `brute_space`, `_brute` and `census` on
+    the form `ground_form` builds, `embedding_image` on the form of the
+    arrangements it holds.
     """
 
-    _fields = ("ground", "maps", "fast", "prop", "flag", "label", "exhausted")
+    _fields = ("circle", "maps", "fast", "prop", "flag", "label", "exhausted")
 
     def __init__(
         self,
-        ground: Callable[[int, SearchCaps], tuple],
+        circle: bool,  # arrangements, or rankings
         maps: Callable[[FiniteQuandle], Iterable[Sequence[int]]],  # the translations tested
         fast: Callable[[FiniteQuandle], Verdict],
         prop: str,  # CLI property name
@@ -285,44 +311,36 @@ class _Space(Value):
         exhausted: str,  # brute-force refutation, given the ground size
     ):
         self.__dict__.update(
-            ground=ground, maps=maps, fast=fast,
+            circle=circle, maps=maps, fast=fast,
             prop=prop, flag=flag, label=label, exhausted=exhausted,
         )
-
-
-def _circular(n: int, caps: SearchCaps) -> tuple[CyclicOrder, ...]:
-    return enumerate_circular_orderings(n, caps)
-
-
-def _rankings(n: int, caps: SearchCaps) -> tuple[LinearOrder, ...]:
-    return enumerate_rankings(n, caps)
 
 
 _columns, _rows = attrgetter("columns"), attrgetter("rows")
 
 SPACES = {
     "RCO": _Space(
-        _circular, _columns, lambda q: _fast_right(q, True),
+        True, _columns, lambda q: _fast_right(q, True),
         "right-circular", "right_circularly_orderable", "right-circular orderability",
         "none of the {} circular orderings is right-invariant",
     ),
     "LCO": _Space(
-        _circular, _rows, lambda q: _fast_left(q, True),
+        True, _rows, lambda q: _fast_left(q, True),
         "left-circular", "left_circularly_orderable", "left-circular orderability",
         "none of the {} circular orderings is left-invariant",
     ),
     "BCO": _Space(
-        _circular, lambda q: chain(q.columns, q.rows), lambda q: _fast_left(q, True),
+        True, lambda q: chain(q.columns, q.rows), lambda q: _fast_left(q, True),
         "bi-circular", "bi_circularly_orderable", "bi-circular orderability",
         "none of the {} circular orderings is both-invariant",
     ),
     "RO": _Space(
-        _rankings, _columns, lambda q: _fast_right(q, False),
+        False, _columns, lambda q: _fast_right(q, False),
         "right-order", "right_orderable", "right orderability",
         "none of the {} rankings is a right ordering",
     ),
     "LO": _Space(
-        _rankings, _rows, lambda q: _fast_left(q, False),
+        False, _rows, lambda q: _fast_left(q, False),
         "left-order", "left_orderable", "left orderability",
         "none of the {} rankings is a left ordering",
     ),
@@ -340,25 +358,29 @@ def enumerate_space(kind: str, q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS
     space = SPACES[kind]
     if not space.fast(q).answer:
         return OrderSpace(kind, ())
-    return OrderSpace(kind, space.ground(q.size, caps))
+    ground = enumerate_circular_orderings if space.circle else enumerate_rankings
+    return OrderSpace(kind, ground(q.size, caps))
 
 
 def brute_space(kind: str, q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
-    """The named order space by definition: the ground set filtered by the
-    space's translation test, every map of it in turn. The oracle for
-    `enumerate_space`."""
+    """The named order space by definition: the ground set's byte form
+    filtered by the space's translation test, every map of it in turn, and
+    only the members kept built as orders. The oracle for `enumerate_space`."""
     space = SPACES[kind]
-    return OrderSpace(kind, survivors(byte_form(space.ground(q.size, caps)), space.maps(q)))
+    kept = survivors(ground_form(q.size, space.circle, caps), space.maps(q))
+    return OrderSpace(kind, _orders(space.circle, kept))
 
 
 def _brute(kind: str, q: FiniteQuandle, caps: SearchCaps) -> Verdict:
+    """The brute tier's decision: a yes builds one order, the first member
+    the filter keeps; a no reports the size of the ground set scanned."""
     space = SPACES[kind]
-    ground = space.ground(q.size, caps)
-    found = survivors(byte_form(ground), space.maps(q))
+    form = ground_form(q.size, space.circle, caps)
+    found = survivors(form, space.maps(q))
     if found:
-        return Verdict(True, witness=found[0])
-    detail = space.exhausted.format(len(ground))
-    return Verdict(False, certificate=Certificate(EXHAUSTED, {"checked": len(ground)}, detail))
+        return Verdict(True, witness=_orders(space.circle, found[:1])[0])
+    checked = len(form.forms)
+    return Verdict(False, certificate=Certificate(EXHAUSTED, {"checked": checked}, space.exhausted.format(checked)))
 
 
 def _agree(kind: str, fast: bool, exhaustive: bool) -> None:
@@ -476,7 +498,7 @@ def recheck_certificate(q: FiniteQuandle, cert: Certificate, kind: str) -> bool:
     """
     space = SPACES[kind]
     data = cert.data
-    if not isinstance(data, dict):
+    if not isinstance(data, dict) or not isinstance(cert.kind, str):
         return False
     if cert.kind == EXHAUSTED:
         return (
@@ -589,7 +611,7 @@ def embedding_image(
         buckets.setdefault(c, []).append(o)
     invariant = set(survivors(byte_form(buckets), SPACES[circular].maps(q))) if buckets else set()
     for c in buckets:
-        if c not in invariant:
+        if bytes(c.arrangement) not in invariant:
             raise InternalInconsistency(
                 circular,
                 {"ordering-image": True, "invariance": False},
@@ -707,7 +729,7 @@ def generate_all_quandles(n: int, up_to_iso: bool = False) -> tuple[FiniteQuandl
     for ctype, first in firsts.items():
         bounded = [[first]] + [[p for t, p in column if t <= ctype] for column in typed[1:]]
         found = _column_search(bounded)
-        for q in _unchecked(FiniteQuandle, "table", map(_transpose, found)):
+        for q in _unchecked(FiniteQuandle, "table", map(_transpose, found), size=n):
             if not any(are_isomorphic(q, r) for r in reps):
                 reps.append(q)
     return tuple(FiniteQuandle(t) for t in sorted(canonical_form(q) for q in reps))
@@ -722,37 +744,39 @@ def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
     reports are stable under relabeling. The space sizes record how large
     the five finite spaces actually come out, not just whether they are
     empty. Each order's ground sets (the arrangements and the rankings) are
-    built once, after its classes are generated, in byte form, and shared
-    by every class. Each space is scanned once per class: its size is the
-    brute tier's filter of the ground set (the byte kernel
-    `corders.survivors`, which `brute_space` runs too), and its flag is the
-    fast path's answer, diffed against that size on every class. BCO is
-    RCO ∩ LCO by definition, so its members are the arrangements both of
-    those filters kept, and no arrangement is tested for it again.
+    built once, after its classes are generated, as byte forms straight
+    from `itertools.permutations` (`ground_form`), and shared by every
+    class; no CyclicOrder or LinearOrder is built for them. Each space is
+    scanned once per class: its size is the brute tier's filter of the
+    ground set (the byte kernel `corders.survivors`, which `brute_space`
+    runs too), and its flag is the fast path's answer, through DECIDERS,
+    diffed against that size on every class. BCO is RCO ∩ LCO by
+    definition, so its members are the arrangements both of those filters
+    kept, and no arrangement is tested for it again. The per-space plan
+    (space, decider, flag and size keys) is read once per call, and the
+    structure columns read the translation facts the fast path computed.
     A max_n above MAX_GENERATE_N raises ResourceLimit before any order is
     generated.
     """
     if max_n > MAX_GENERATE_N:
         raise ResourceLimit("quandle generation", max_n, MAX_GENERATE_N)
+    plan = [(kind, s, DECIDERS[s.prop], s.flag, f"{kind.lower()}_size") for kind, s in SPACES.items()]
     records = []
     for n in range(1, max_n + 1):
         classes = generate_all_quandles(n, up_to_iso=True)
-        forms: dict[Callable, ByteForm] = {}
-        for s in SPACES.values():
-            if s.ground not in forms:
-                forms[s.ground] = byte_form(s.ground(n, caps))
+        forms = {circle: ground_form(n, circle, caps) for circle in (True, False)}
         for class_id, q in enumerate(classes):
             flags, sizes, members = {}, {}, {}
-            for kind, s in SPACES.items():
+            for kind, s, decider, flag_key, size_key in plan:
                 if kind == "BCO":  # RCO and LCO come first in SPACES
-                    members[kind] = set(members["RCO"]).intersection(members["LCO"])
+                    kept = set(members["RCO"]).intersection(members["LCO"])
                 else:
-                    members[kind] = survivors(forms[s.ground], s.maps(q))
-                size = len(members[kind])
-                flag = DECIDERS[s.prop](q, strategy="fast", caps=caps).answer
-                _agree(kind, flag, size > 0)
-                flags[s.flag] = flag
-                sizes[f"{kind.lower()}_size"] = size
+                    kept = survivors(forms[s.circle], s.maps(q))
+                members[kind] = kept
+                flag = decider(q, strategy="fast", caps=caps).answer
+                _agree(kind, flag, len(kept) > 0)
+                flags[flag_key] = flag
+                sizes[size_key] = len(kept)
             records.append(
                 {
                     "order": n,

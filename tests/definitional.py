@@ -227,3 +227,70 @@ def first_group_violation(table, identity: int) -> tuple[str, tuple] | None:
         if table[table[a][b]][c] != table[a][table[b][c]]:
             return ("associativity fails", (a, b, c))
     return None
+
+
+# ---------------------------------------------------------------------------
+# translation facts and structure, read off the table point by point
+
+
+def first_moved_point(table) -> tuple[int, int, int] | None:
+    """The first (s, t, t*s), s-major, with t*s != t: the first right
+    translation that moves a point and the first point it moves; None when
+    every right translation is the identity."""
+    n = len(table)
+    for s in range(n):
+        for t in range(n):
+            if table[t][s] != t:
+                return (s, t, table[t][s])
+    return None
+
+
+def first_merged_pair(table) -> tuple[int, int, int, int] | None:
+    """The first (s, t1, t2, s*t2) with t1 < t2 and s*t1 = s*t2: the first
+    left translation that merges two points, the first point t2 whose image
+    an earlier point has, and the first such t1; None when every left
+    translation is injective."""
+    n = len(table)
+    for s in range(n):
+        for t2 in range(n):
+            for t1 in range(t2):
+                if table[s][t1] == table[s][t2]:
+                    return (s, t1, t2, table[s][t2])
+    return None
+
+
+def is_trivial_table(table) -> bool:
+    """t*s = t for all s and t."""
+    return all(table[t][s] == t for t in range(len(table)) for s in range(len(table)))
+
+
+def is_latin_table(table) -> bool:
+    """Every row is a permutation of the points."""
+    return all(sorted(row) == list(range(len(table))) for row in table)
+
+
+def is_involutory_table(table) -> bool:
+    """(t*s)*s = t for all s and t."""
+    return all(table[table[t][s]][s] == t for t in range(len(table)) for s in range(len(table)))
+
+
+def orbit_partition(table) -> tuple[tuple[int, ...], ...]:
+    """The classes of the equivalence generated by t ~ t*s, each sorted,
+    ordered by least point: start from singletons and join the classes of t
+    and t*s until nothing changes."""
+    n = len(table)
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for t in range(n):
+            for s in range(n):
+                a, b = label[t], label[table[t][s]]
+                if a != b:
+                    low = min(a, b)
+                    label = [low if x in (a, b) else x for x in label]
+                    changed = True
+    classes: dict[int, list[int]] = {}
+    for t in range(n):
+        classes.setdefault(label[t], []).append(t)
+    return tuple(tuple(c) for c in sorted(classes.values()))

@@ -53,6 +53,23 @@ class TestGroupFromTable:
         with pytest.raises(NotAGroup, match="identity"):
             FiniteGroup([[1, 0], [0, 1]], identity=0)
 
+    @pytest.mark.parametrize(
+        "table, witness",
+        [
+            ([[0.0]], (0, 0)),
+            ([[0, 1], [1, 0.0]], (1, 1)),
+            ([[0, "1"], [1, 0]], (0, 1)),
+            ([[0, None], [1, 0]], (0, 1)),
+        ],
+    )
+    def test_non_int_entry_is_out_of_range(self, table, witness):
+        with pytest.raises(NotAGroup) as exc:
+            FiniteGroup(table, identity=0)
+        assert (exc.value.reason, exc.value.witness) == ("entry out of range", witness)
+
+    def test_bool_entries_are_accepted(self):
+        assert FiniteGroup([[False, True], [True, False]], identity=0) == FiniteGroup([[0, 1], [1, 0]], 0)
+
     def test_associativity_failure_rejected(self):
         with pytest.raises(NotAGroup, match="associativity") as exc:
             FiniteGroup(NONASSOC_LOOP, identity=0)

@@ -61,6 +61,35 @@ class TestValidation:
             FiniteQuandle([[0, 0, 0], [1, 1, 0], [2, 2, 2]])
         assert exc.value.axiom == "right-bijectivity"
 
+    @pytest.mark.parametrize(
+        "table, witness",
+        [
+            ([[0.0]], (0, 0)),
+            ([[0, 0], [1.0, 1]], (1, 0)),
+            ([[0, "1"], [0, 1]], (0, 1)),
+            ([[0, None], [0, 1]], (0, 1)),
+            ([[0, 0.5], [1, 1]], (0, 1)),
+        ],
+    )
+    def test_non_int_entry_is_out_of_range(self, table, witness):
+        # 0.0 and 1.0 equal points, so only the byte check meets them
+        with pytest.raises(NotAQuandle) as exc:
+            FiniteQuandle(table)
+        assert (exc.value.axiom, exc.value.witness) == ("entry in range", witness)
+
+    def test_non_int_entry_above_the_byte_range(self):
+        # there the triple scan meets it, as an index
+        n = 257
+        table = [[(2 * j - i) % n for j in range(n)] for i in range(n)]
+        table[3][3] = 3.0
+        with pytest.raises(NotAQuandle) as exc:
+            FiniteQuandle(table)
+        assert (exc.value.axiom, exc.value.witness) == ("entry in range", (3, 3))
+
+    def test_bool_entries_are_accepted(self):
+        assert FiniteQuandle([[False, False], [True, True]]) == trivial_quandle(2)
+        assert FiniteQuandle([[False]]) == trivial_quandle(1)
+
     def test_distributivity_violation(self):
         # diagonal idempotent, all columns permutations, but (0*2)*0 != (0*0)*(2*0)
         bad = [[0, 2, 0], [2, 1, 1], [1, 0, 2]]

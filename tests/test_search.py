@@ -1,8 +1,18 @@
+from collections import Counter
 from itertools import permutations, product
 from math import factorial
 
 import pytest
-from definitional import left_invariance_witness, right_invariance_witness
+from definitional import (
+    first_merged_pair,
+    first_moved_point,
+    is_involutory_table,
+    is_latin_table,
+    is_trivial_table,
+    left_invariance_witness,
+    orbit_partition,
+    right_invariance_witness,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_corders import pairwise_monotone
@@ -40,10 +50,15 @@ from quorder import (
     enumerate_rco,
     enumerate_right_orderings,
     generate_all_quandles,
+    inner_group,
+    is_involutory,
+    is_latin,
     is_left_invariant,
     is_left_order,
     is_right_invariant,
     is_right_order,
+    is_trivial_quandle,
+    orbits,
     recheck_certificate,
     subbasic_circular,
     subbasic_linear,
@@ -52,6 +67,7 @@ from quorder import (
 )
 from quorder import quandles, search
 from quorder.cli import quandle_from_builtin
+from quorder.groups import orbits as group_orbits
 from quorder.search import (
     EXHAUSTED,
     NON_IDENTITY_LEFT,
@@ -405,6 +421,9 @@ class TestCertificates:
                 "non-semiregular-action",
                 {"acting": "right translations", "group_order": 2, "permutation": [1, 0, 2], "fixed_point": 2},
             ),
+            # unhashable kinds
+            (dihedral_quandle(3), [NON_IDENTITY_RIGHT], {"base": 0, "point": 1, "image": 2}),
+            (dihedral_quandle(3), {"kind": NON_IDENTITY_RIGHT}, {"base": 0, "point": 1, "image": 2}),
         ],
     )
     def test_malformed_certificates_rejected(self, q, kind, data):
@@ -432,6 +451,66 @@ class TestCertificates:
                 vlo = decide_left_orderable(q)
                 if vlo.answer:
                     assert is_left_order(vlo.witness, q)
+
+
+FACT_BUILTINS = ("trivial:1", "trivial:2", "dihedral:256", "conj:s4", "core:z3xz3", "product:trivial:2+dihedral:3")
+
+
+@pytest.fixture(scope="module")
+def fact_cases(labeled_catalog, class_catalog, order6_classes):
+    """Every labelled quandle of order <= 4, the classes of orders 5 and 6,
+    and a few builtins up to 256 points."""
+    assert (len(class_catalog[5]), len(order6_classes)) == (22, 73)
+    labelled = [q for n in range(1, 5) for q in labeled_catalog[n]]
+    return labelled + list(class_catalog[5]) + list(order6_classes) + list(map(quandle_from_builtin, FACT_BUILTINS))
+
+
+def _reference_certificate(q, kind):
+    """The fast path's certificate for the space, rebuilt from the reference
+    scans, as (kind, data, the start of its detail), or None for a yes."""
+    if kind in ("RCO", "RO"):
+        moved = first_moved_point(q.table)
+        if moved is None:
+            return None
+        s, t, image = moved
+        return NON_IDENTITY_RIGHT, {"base": s, "point": t, "image": image}, f"right translation by {s} moves {t} to {image}; "
+    if q.size <= (1 if kind == "LO" else 2):
+        return None
+    merged = first_merged_pair(q.table)
+    if merged is None:
+        image = q.table[0][1]
+        return NON_IDENTITY_LEFT, {"base": 0, "point": 1, "image": image}, f"left translation by 0 moves 1 to {image}; "
+    s, t1, t2, image = merged
+    return NON_INJECTIVE_LEFT, {"base": s, "pair": [t1, t2], "image": image}, f"left translation by {s} sends both {t1} and {t2} to {image}"
+
+
+class TestTranslationFacts:
+    def test_cached_facts_equal_the_reference_scans(self, fact_cases):
+        for q in fact_cases:
+            assert q.first_moved == first_moved_point(q.table), q.table
+            assert q.first_merged == first_merged_pair(q.table), q.table
+
+    def test_fast_certificates_equal_the_reference(self, fact_cases):
+        for q in fact_cases:
+            for kind in SPACES:
+                v = decide(kind, q, "fast")
+                expected = _reference_certificate(q, kind)
+                if expected is None:
+                    identity = (CyclicOrder if SPACES[kind].circle else LinearOrder)(range(q.size))
+                    assert v.answer and v.witness == identity, (kind, q.table)
+                    continue
+                cert = v.certificate
+                assert not v.answer and (cert.kind, cert.data) == expected[:2], (kind, q.table)
+                assert cert.detail.startswith(expected[2]), (kind, cert.detail)
+                assert recheck_certificate(q, cert, kind), (kind, q.table)
+
+    def test_structure_matches_the_definitions(self, fact_cases):
+        for q in fact_cases:
+            t = q.table
+            assert is_trivial_quandle(q) == is_trivial_table(t), t
+            assert is_latin(q) == is_latin_table(t), t
+            assert is_involutory(q) == is_involutory_table(t), t
+            assert orbits(q) == orbit_partition(t) == group_orbits(inner_group(q)), t
 
 
 class TestSubbasis:
@@ -973,21 +1052,33 @@ class TestCensus:
         monkeypatch.setattr(search, "_brute", no_rescan)
         assert census(3) == expected
 
-    def test_census_builds_each_ground_set_once_per_order(self, monkeypatch):
+    def test_census_builds_two_byte_forms_per_order_and_no_ground_orders(self, monkeypatch):
+        # each order's arrangements and rankings are built once, as byte
+        # forms, and none of their members becomes an order object: the only
+        # orders census makes are the witnesses of the fast path's yes verdicts
         expected = census(4)
-        built = []
-        for name in ("enumerate_circular_orderings", "enumerate_rankings"):
-            original = getattr(search, name)
+        forms, made = [], []
+        ground_form, unchecked = search.ground_form, search._unchecked
 
-            def counted(n, caps, original=original, name=name):
-                built.append((name, n))
-                return original(n, caps)
+        def counted_form(n, circle, caps):
+            forms.append((n, circle))
+            return ground_form(n, circle, caps)
 
-            monkeypatch.setattr(search, name, counted)
+        def quandles_only(cls, *args, **kwargs):
+            assert cls is FiniteQuandle, cls
+            return unchecked(cls, *args, **kwargs)
+
+        monkeypatch.setattr(search, "ground_form", counted_form)
+        monkeypatch.setattr(search, "_unchecked", quandles_only)
+        for cls in (CyclicOrder, LinearOrder):
+            monkeypatch.setattr(search, cls.__name__, lambda value, cls=cls: made.append(cls) or cls(value))
         assert census(4) == expected
-        assert sorted(built) == sorted(
-            (name, n) for name in ("enumerate_circular_orderings", "enumerate_rankings") for n in (1, 2, 3, 4)
-        )
+        assert forms == [(n, circle) for n in (1, 2, 3, 4) for circle in (True, False)]
+        yes = Counter()
+        for record in expected:
+            for space in SPACES.values():
+                yes[CyclicOrder if space.circle else LinearOrder] += record[space.flag]
+        assert Counter(made) == yes
 
     def test_census_takes_the_catalogue_as_it_comes(self, class_catalog, monkeypatch):
         # the catalogue returns canonical forms in census order, so census

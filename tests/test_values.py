@@ -20,7 +20,7 @@ Z3 = FiniteGroup(((0, 1, 2), (1, 2, 0), (2, 0, 1)), 0)
 C3 = CyclicOrder((0, 1, 2))
 PAIRS = frozenset({(0, 1), (1, 0)})
 RCO, LCO = search.SPACES["RCO"], search.SPACES["LCO"]
-SPACE_FIELDS = ("ground", "maps", "fast", "prop", "flag", "label", "exhausted")
+SPACE_FIELDS = ("circle", "maps", "fast", "prop", "flag", "label", "exhausted")
 
 
 def _case(value, same, other, compared, fields, text):
@@ -153,11 +153,12 @@ def test_orders_of_the_same_sequence_differ():
     [
         (CyclicOrder((0, 2, 3, 1)), "positions"),
         (LinearOrder((2, 0, 1)), "rank"),
-        (FiniteQuandle(((0, 2, 1), (2, 1, 0), (1, 0, 2))), "rows"),
+        (FiniteQuandle(((0, 2, 1), (2, 1, 0), (1, 0, 2))), "first_moved"),
+        (FiniteQuandle(((0, 2, 1), (2, 1, 0), (1, 0, 2))), "first_merged"),
         (FiniteQuandle(((0, 2, 1), (2, 1, 0), (1, 0, 2))), "canonical_table"),
         (FiniteGroup(Z3.table, 0), "inverses"),
     ],
-    ids=["positions", "rank", "rows", "canonical_table", "inverses"],
+    ids=["positions", "rank", "first_moved", "first_merged", "canonical_table", "inverses"],
 )
 def test_cached_properties_are_kept(value, name):
     assert name not in vars(value)
