@@ -32,13 +32,12 @@ triple functions as the oracle this test is checked against.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import cached_property
 from itertools import compress, repeat
 from operator import attrgetter
 
 from .groups import invert
 from .quandles import FiniteQuandle
-from .values import Value
+from .values import Value, cached_property
 
 
 class CyclicOrder(Value):

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from functools import cached_property
 from itertools import chain, combinations, permutations
 
 from .errors import NotAGroup, NotAnAutomorphism, NotAPermutation, ResourceLimit
-from .values import Value
+from .values import Value, cached_property
 
 Perm = tuple[int, ...]
 
@@ -151,7 +150,8 @@ class FiniteGroup(Value):
     (a, b, c) in lexicographic order. An entry that is not an int is out of
     range; one that equals a point, such as 1.0, is named (the first such
     entry) where the associativity check meets it, unless an axiom checked
-    before that fails first.
+    before that fails first. An identity that is not a plain int, such as
+    0.0, "0" or None, is out of range.
     """
 
     _fields = ("table", "identity", "name")
@@ -177,7 +177,7 @@ class FiniteGroup(Value):
             if len(set(col)) != n:
                 raise NotAGroup(f"column {j} is not a permutation", (j,))
         e = identity
-        if not (0 <= e < n):
+        if type(e) is not int or not (0 <= e < n):
             raise NotAGroup("identity index out of range", (e,))
         for x in range(n):
             if table[e][x] != x or table[x][e] != x:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import chain, permutations
 
 from .errors import NotAQuandle, NotInvertible, ResourceLimit
@@ -41,7 +41,7 @@ from .groups import (
     identity_perm,
     product_table,
 )
-from .values import Value
+from .values import Value, cached_property
 
 MAX_CANONICAL_N = 8  # canonical forms (n! relabellings) are computed up to this order
 

@@ -648,21 +648,49 @@ def _transpose(table) -> tuple[tuple[int, ...], ...]:
 
 def _column_search(candidates: list[list[Perm]]) -> list[tuple[Perm, ...]]:
     """Every assignment of one candidate to each column that satisfies
-    self-distributivity, in lexicographic candidate order."""
+    self-distributivity, in lexicographic candidate order.
+
+    Column f is assigned after columns 0..f-1. When sigma = c_0 sends some
+    j < f to f, the triple (0, j, f) forces c_f = sigma . c_j . sigma^-1, so
+    that one permutation is tried, if it is a candidate, instead of every
+    candidate; any other would fail that triple's test. A column that
+    passes is tested only on the triples (k, j, m = c_k[j]) that name f
+    with every index at most f: k = f, j = f, or m = f with j = c_k^-1(f).
+    Every other such triple was tested when its own last column was
+    assigned, so the search keeps exactly the branches a test of all
+    triples would. (k = j is never tested: then m = k and both sides are
+    c_k . c_k.)
+    """
     n = len(candidates)
+    span = range(n)
     cols: list[Perm | None] = [None] * n
+    inverses: list[list[int] | None] = [None] * n
+    allowed = [set(column) for column in candidates]
     found: list[tuple[Perm, ...]] = []
 
     def consistent(f: int) -> bool:
-        for k in range(f + 1):
-            ck = cols[k]
-            for j in range(f + 1):
-                m = ck[j]
-                if m > f or j == k or f not in (k, j, m):
-                    continue
+        # c_m[c_k[x]] == c_k[c_j[x]] for every x, on each triple naming f
+        cf = cols[f]
+        for j in range(f):  # k = f
+            m = cf[j]
+            if m < f:
                 cm, cj = cols[m], cols[j]
-                for x in range(n):
-                    if cm[ck[x]] != ck[cj[x]]:
+                for x in span:
+                    if cm[cf[x]] != cf[cj[x]]:
+                        return False
+        for k in range(f):
+            ck = cols[k]
+            m = ck[f]  # j = f
+            if m <= f:
+                cm = cols[m]
+                for x in span:
+                    if cm[ck[x]] != ck[cf[x]]:
+                        return False
+            j = inverses[k][f]  # m = f
+            if j < f:
+                cj = cols[j]
+                for x in span:
+                    if cf[ck[x]] != ck[cj[x]]:
                         return False
         return True
 
@@ -670,9 +698,18 @@ def _column_search(candidates: list[list[Perm]]) -> list[tuple[Perm, ...]]:
         if f == n:
             found.append(tuple(cols))
             return
-        for p in candidates[f]:
+        choices = candidates[f]
+        if f:
+            unsigma = inverses[0]
+            j = unsigma[f]
+            if j < f:
+                sigma, cj = cols[0], cols[j]
+                forced = tuple([sigma[cj[y]] for y in unsigma])
+                choices = (forced,) if forced in allowed[f] else ()
+        for p in choices:
             cols[f] = p
             if consistent(f):
+                inverses[f] = sorted(span, key=p.__getitem__)
                 descend(f + 1)
         cols[f] = None
 
@@ -685,14 +722,14 @@ def generate_all_quandles(n: int, up_to_iso: bool = False) -> tuple[FiniteQuandl
 
     Columns are the right-translation permutations c_0, ..., c_{n-1}; column
     j must fix j, and self-distributivity pins column m = c_k[j] to the
-    conjugate c_k . c_j . c_k^-1. That is tested pointwise, as
-    c_m[c_k[x]] == c_k[c_j[x]] for every x, as soon as all three columns are
-    assigned. When column f is assigned, only the triples (k, j, m) naming f
-    are tested: every other triple with all indices <= f was tested when its
-    own last column was assigned, against the same columns, so the search
-    keeps exactly the branches a test of all triples would. (k = j is never
-    tested: then m = k and both sides are c_k . c_k.) The labelled output
-    follows the lexicographic order of the column tuples (c_0, ..., c_{n-1}).
+    conjugate c_k . c_j . c_k^-1. `_column_search` assigns the columns in
+    turn. A column that column 0 forces (m = c_0[j] with j < m) is derived
+    as that conjugate instead of branched over, and each column assigned is
+    tested pointwise, as c_m[c_k[x]] == c_k[c_j[x]] for every x, on the
+    O(n) triples that name it, so the search keeps exactly the tables a test
+    of all triples over all candidates would, in the same order. The
+    labelled output follows the lexicographic order of the column tuples
+    (c_0, ..., c_{n-1}).
 
     With up_to_iso the search is orderly. Column 0 takes one fixed
     permutation of each cycle type, and every later column only cycle types
@@ -718,16 +755,17 @@ def generate_all_quandles(n: int, up_to_iso: bool = False) -> tuple[FiniteQuandl
         raise ResourceLimit("quandle generation", n, MAX_GENERATE_N)
     if n < 1:
         raise ValueError("carrier must be nonempty")
-    candidates = [[p for p in permutations(range(n)) if p[j] == j] for j in range(n)]
+    perms = list(permutations(range(n)))
+    candidates = [[p for p in perms if p[j] == j] for j in range(n)]
     if not up_to_iso:
         return tuple(FiniteQuandle(_transpose(cols)) for cols in _column_search(candidates))
-    typed = [[(cycle_type(p), p) for p in column] for column in candidates]
+    types = {p: cycle_type(p) for p in set(chain.from_iterable(candidates))}
     firsts: dict[tuple[int, ...], Perm] = {}
-    for ctype, p in typed[0]:
-        firsts.setdefault(ctype, p)
+    for p in candidates[0]:
+        firsts.setdefault(types[p], p)
     reps: list[FiniteQuandle] = []
     for ctype, first in firsts.items():
-        bounded = [[first]] + [[p for t, p in column if t <= ctype] for column in typed[1:]]
+        bounded = [[first]] + [[p for p in column if types[p] <= ctype] for column in candidates[1:]]
         found = _column_search(bounded)
         for q in _unchecked(FiniteQuandle, "table", map(_transpose, found), size=n):
             if not any(are_isomorphic(q, r) for r in reps):
@@ -746,48 +784,44 @@ def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
     empty. Each order's ground sets (the arrangements and the rankings) are
     built once, after its classes are generated, as byte forms straight
     from `itertools.permutations` (`ground_form`), and shared by every
-    class; no CyclicOrder or LinearOrder is built for them. Each space is
-    scanned once per class: its size is the brute tier's filter of the
-    ground set (the byte kernel `corders.survivors`, which `brute_space`
-    runs too), and its flag is the fast path's answer, through DECIDERS,
-    diffed against that size on every class. BCO is RCO ∩ LCO by
+    class; no CyclicOrder or LinearOrder is built for them. Each one-sided
+    space (RCO, LCO, RO, LO) is scanned once per class: its size is the
+    brute tier's filter of the ground set (the byte kernel
+    `corders.survivors`, which `brute_space` runs too). BCO is RCO ∩ LCO by
     definition, so its members are the arrangements both of those filters
-    kept, and no arrangement is tested for it again. The per-space plan
-    (space, decider, flag and size keys) is read once per call, and the
-    structure columns read the translation facts the fast path computed.
+    kept, intersected only when neither is empty, and no arrangement is
+    tested for it again. Every space's flag is the fast path's answer,
+    through DECIDERS, diffed against its size on every class. The spaces'
+    maps, deciders and record keys are read once per call, each record is
+    built in one pass, and the structure columns read the translation facts
+    the fast path computed.
     A max_n above MAX_GENERATE_N raises ResourceLimit before any order is
     generated.
     """
     if max_n > MAX_GENERATE_N:
         raise ResourceLimit("quandle generation", max_n, MAX_GENERATE_N)
-    plan = [(kind, s, DECIDERS[s.prop], s.flag, f"{kind.lower()}_size") for kind, s in SPACES.items()]
+    # SPACES lists RCO, LCO, BCO, RO, LO: the order of the sizes and the fields
+    rco, lco, ro, lo = (SPACES[kind] for kind in ("RCO", "LCO", "RO", "LO"))
+    checks = [(kind, DECIDERS[space.prop], space.flag) for kind, space in SPACES.items()]
+    size_keys = [f"{kind.lower()}_size" for kind in SPACES]
     records = []
     for n in range(1, max_n + 1):
         classes = generate_all_quandles(n, up_to_iso=True)
-        forms = {circle: ground_form(n, circle, caps) for circle in (True, False)}
+        circles, rankings = ground_form(n, True, caps), ground_form(n, False, caps)
         for class_id, q in enumerate(classes):
-            flags, sizes, members = {}, {}, {}
-            for kind, s, decider, flag_key, size_key in plan:
-                if kind == "BCO":  # RCO and LCO come first in SPACES
-                    kept = set(members["RCO"]).intersection(members["LCO"])
-                else:
-                    kept = survivors(forms[s.circle], s.maps(q))
-                members[kind] = kept
-                flag = decider(q, strategy="fast", caps=caps).answer
-                _agree(kind, flag, len(kept) > 0)
-                flags[flag_key] = flag
-                sizes[size_key] = len(kept)
-            records.append(
-                {
-                    "order": n,
-                    "class_id": class_id,
-                    "representative_table": [list(row) for row in q.table],
-                    **flags,
-                    **sizes,
-                    "latin": is_latin(q),
-                    "involutory": is_involutory(q),
-                    "trivial": is_trivial_quandle(q),
-                    "orbits": [list(orbit) for orbit in quandle_orbits(q)],
-                }
-            )
+            right = survivors(circles, rco.maps(q))
+            left = survivors(circles, lco.maps(q))
+            both = len(set(right).intersection(left)) if right and left else 0
+            chains = survivors(rankings, ro.maps(q)), survivors(rankings, lo.maps(q))
+            sizes = (len(right), len(left), both, *map(len, chains))
+            record = {"order": n, "class_id": class_id, "representative_table": [list(row) for row in q.table]}
+            for (kind, decider, flag_key), size in zip(checks, sizes):
+                record[flag_key] = flag = decider(q, strategy="fast", caps=caps).answer
+                _agree(kind, flag, size > 0)
+            record.update(zip(size_keys, sizes))
+            record["latin"] = is_latin(q)
+            record["involutory"] = is_involutory(q)
+            record["trivial"] = is_trivial_quandle(q)
+            record["orbits"] = [list(orbit) for orbit in quandle_orbits(q)]
+            records.append(record)
     return records

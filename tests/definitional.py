@@ -7,15 +7,16 @@ triples and has zero cocycle defect on every quadruple. This module checks
 that definition literally, triple by triple and quadruple by quadruple, so
 the structural membership tests of `quorder.corders` can be diffed against
 it. The table scans at the end are the reference for the validation of
-`FiniteQuandle` and `FiniteGroup`. It imports nothing from the package but
-`CyclicOrder`, the object under comparison;
+`FiniteQuandle` and `FiniteGroup`, and the all-pairs column search the
+reference for the one `generate_all_quandles` runs. It imports nothing
+from the package but `CyclicOrder`, the object under comparison;
 `test_definitional_oracle_is_independent` keeps it that way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 from typing import Callable, Sequence
 
 from quorder.corders import CyclicOrder
@@ -199,7 +200,8 @@ def first_group_violation(table, identity: int) -> tuple[str, tuple] | None:
 
     The axioms are checked in order: a nonempty carrier; every row of n
     entries, each in 0..n-1 (row-major order); every row, then every column,
-    a permutation; the identity a point with e*x = x*e = x for every x;
+    a permutation; the identity a point (a plain int in 0..n-1) with
+    e*x = x*e = x for every x;
     (a*b)*c = a*(b*c) for every triple (a, b, c) in lexicographic order.
     """
     n = len(table)
@@ -218,7 +220,7 @@ def first_group_violation(table, identity: int) -> tuple[str, tuple] | None:
         if sorted(table[i][j] for i in range(n)) != list(range(n)):
             return (f"column {j} is not a permutation", (j,))
     e = identity
-    if not (0 <= e < n):
+    if type(e) is not int or not (0 <= e < n):
         return ("identity index out of range", (e,))
     for x in range(n):
         if table[e][x] != x or table[x][e] != x:
@@ -294,3 +296,64 @@ def orbit_partition(table) -> tuple[tuple[int, ...], ...]:
     for t in range(n):
         classes.setdefault(label[t], []).append(t)
     return tuple(tuple(c) for c in sorted(classes.values()))
+
+
+# ---------------------------------------------------------------------------
+# quandle generation: column j of a table is the right translation c_j
+
+
+def column_search_all_pairs(candidates: Sequence[Sequence[Sequence[int]]]) -> list[tuple]:
+    """Every assignment of one candidate to each column that satisfies
+    self-distributivity, in lexicographic candidate order: the columns are
+    assigned in turn, every candidate of a column is tried, and it is kept
+    when c_m[c_k[x]] == c_k[c_j[x]] for every x on every pair (k, j), k != j,
+    of assigned columns whose m = c_k[j] is assigned and one of k, j, m is
+    the new column. The reference for `quorder.search._column_search`."""
+    n = len(candidates)
+    cols: list = [None] * n
+    found: list[tuple] = []
+
+    def consistent(f: int) -> bool:
+        for k in range(f + 1):
+            ck = cols[k]
+            for j in range(f + 1):
+                m = ck[j]
+                if m > f or j == k or f not in (k, j, m):
+                    continue
+                cm, cj = cols[m], cols[j]
+                for x in range(n):
+                    if cm[ck[x]] != ck[cj[x]]:
+                        return False
+        return True
+
+    def descend(f: int) -> None:
+        if f == n:
+            found.append(tuple(cols))
+            return
+        for p in candidates[f]:
+            cols[f] = p
+            if consistent(f):
+                descend(f + 1)
+        cols[f] = None
+
+    descend(0)
+    return found
+
+
+def labelled_quandle_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every quandle table on n points: each column j any permutation fixing
+    j, the column tuples in lexicographic (product) order, kept when
+    `first_quandle_violation` finds nothing."""
+    choices = [[p for p in permutations(range(n)) if p[j] == j] for j in range(n)]
+    tables = (tuple(zip(*cols)) for cols in product(*choices))
+    return [table for table in tables if first_quandle_violation(table) is None]
+
+
+def automorphism_count(table) -> int:
+    """The number of relabellings p of the points with p(i*j) = p(i)*p(j)
+    for all i, j: the automorphisms of the quandle."""
+    n = len(table)
+    return sum(
+        all(table[p[i]][p[j]] == p[table[i][j]] for i in range(n) for j in range(n))
+        for p in permutations(range(n))
+    )

@@ -67,6 +67,13 @@ class TestGroupFromTable:
             FiniteGroup(table, identity=0)
         assert (exc.value.reason, exc.value.witness) == ("entry out of range", witness)
 
+    @pytest.mark.parametrize("identity", [0.0, "0", None, -1, 2])
+    def test_identity_that_is_not_a_point_is_out_of_range(self, identity):
+        with pytest.raises(NotAGroup) as exc:
+            FiniteGroup([[0, 1], [1, 0]], identity)
+        assert (exc.value.reason, exc.value.witness) == ("identity index out of range", (identity,))
+        assert first_group_violation([[0, 1], [1, 0]], identity) == ("identity index out of range", (identity,))
+
     def test_bool_entries_are_accepted(self):
         assert FiniteGroup([[False, True], [True, False]], identity=0) == FiniteGroup([[0, 1], [1, 0]], 0)
 

@@ -4,11 +4,14 @@ from math import factorial
 
 import pytest
 from definitional import (
+    automorphism_count,
+    column_search_all_pairs,
     first_merged_pair,
     first_moved_point,
     is_involutory_table,
     is_latin_table,
     is_trivial_table,
+    labelled_quandle_tables,
     left_invariance_witness,
     orbit_partition,
     right_invariance_witness,
@@ -663,19 +666,9 @@ CLASS_REPRESENTATIVES = {
 class TestCatalog:
     def test_labeled_tables_against_naive_oracle(self, labeled_catalog):
         # oracle: every diagonal-fixing column combination, in the same
-        # lexicographic order, filtered through full table validation
+        # lexicographic order, filtered by the definitional axiom scan
         for n in (1, 2, 3, 4):
-            perms_fixing = [
-                [p for p in permutations(range(n)) if p[j] == j] for j in range(n)
-            ]
-            tables = []
-            for cols in product(*perms_fixing):
-                table = [[cols[j][i] for j in range(n)] for i in range(n)]
-                try:
-                    tables.append(FiniteQuandle(table).table)
-                except NotAQuandle:
-                    continue
-            assert [q.table for q in labeled_catalog[n]] == tables
+            assert [q.table for q in labeled_catalog[n]] == labelled_quandle_tables(n)
 
     def test_class_representatives_frozen(self, class_catalog):
         for n, encoded in CLASS_REPRESENTATIVES.items():
@@ -788,6 +781,55 @@ class TestOrderlyGeneration:
         for q in classes:
             relabelled = _relabel(q, data.draw(st.permutations(range(n))))
             assert canonical_form(relabelled) == _canonical_by_scan(relabelled) == q.table
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_classes_count_the_labelled_quandles(self, labelled, class_catalog, n):
+        # a class of order n has n!/|Aut(Q)| labelled members
+        total = sum(factorial(n) // automorphism_count(q.table) for q in class_catalog[n])
+        assert total == len(labelled[n]) == [1, 1, 5, 36, 404][n - 1]
+
+
+def _labelled_candidates(n):
+    return [[p for p in permutations(range(n)) if p[j] == j] for j in range(n)]
+
+
+class TestColumnSearch:
+    """`_column_search` derives the columns column 0 forces and tests only
+    the triples that name the new column; the reference tries every
+    candidate and tests every pair."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_labelled_candidates_match_the_all_pairs_search(self, n):
+        candidates = _labelled_candidates(n)
+        assert search._column_search(candidates) == column_search_all_pairs(candidates)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_orderly_bounded_lists_match_the_all_pairs_search(self, monkeypatch, n):
+        lists = []
+        column_search = search._column_search
+
+        def recorded(candidates):
+            lists.append(candidates)
+            return column_search(candidates)
+
+        monkeypatch.setattr(search, "_column_search", recorded)
+        generate_all_quandles(n, up_to_iso=True)
+        assert lists
+        for candidates in lists:
+            assert column_search(candidates) == column_search_all_pairs(candidates), candidates[0]
+
+    def test_a_forced_column_outside_the_candidates_is_not_tried(self):
+        # column 0 = (0, 2, 3, 1) sends 1 to 2 and 2 to 3, so columns 2 and 3
+        # are forced by column 1; two tables are found. With column 2 cut to
+        # the candidates that also fix 1, the second table's forced column 2
+        # is not a candidate, and only the first table is left
+        candidates = _labelled_candidates(4)
+        candidates[0] = [(0, 2, 3, 1)]
+        first = ((0, 2, 3, 1), (0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3))
+        second = ((0, 2, 3, 1), (3, 1, 0, 2), (1, 3, 2, 0), (2, 0, 1, 3))
+        assert search._column_search(candidates) == column_search_all_pairs(candidates) == [first, second]
+        candidates[2] = [p for p in candidates[2] if p[1] == 1]
+        assert search._column_search(candidates) == column_search_all_pairs(candidates) == [first]
 
 
 def _refuse_scan(*args):
