@@ -12,9 +12,10 @@ One translation test decides every order space: a map preserves a cyclic
 arrangement exactly when it shifts the arrangement by a fixed number of
 places, and a map is strictly increasing for a ranking exactly when it
 sends the ranking onto itself. `survivors` runs it in C over a ground set's
-byte form (`ByteForm`): each member as a byte string, so a carrier has at
-most 256 points. The byte strings are the members: `survivors` returns the
-ones kept, and a caller builds order objects only for what it hands on.
+byte form (`ByteForm`): each member as a byte string, one point per byte,
+as on every table (`groups.MAX_CARRIER_N`). The byte strings are the
+members: `survivors` returns the ones kept, and a caller builds order
+objects only for what it hands on.
 `search.ground_form` builds the form of a whole ground set straight from
 `itertools.permutations`; `byte_form` takes it from orders already built.
 For each map in turn `survivors` translates the surviving members with

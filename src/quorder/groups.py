@@ -4,31 +4,31 @@ Elements are always the integers 0..n-1; the table entry at row i, column j
 is the product i*j. Permutations are index tuples p with p[x] the image of x,
 composed so that ``compose(p, q)`` applies q first.
 
-The three-variable axioms, associativity here and right-distributivity in
-`quandles`, are checked by `holds_per_column` on carriers of at most BYTE_N
-points: both sides of the identity are built column by column with
-`bytes.translate` and compared as bytes. A Python triple scan runs above
-that size, and after a failed comparison to find the first failing triple.
+A carrier has at most MAX_CARRIER_N = 256 points, so a point fits in a
+byte and a table row is a byte string (`byte_rows`). The three-variable
+axioms, associativity here and right-distributivity in `quandles`, are
+checked by `first_failure`: both sides of the identity are built column by
+column with `bytes.translate` and compared as bytes, and the first failing
+triple is read off the comparisons.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 
 from .errors import NotAGroup, NotAnAutomorphism, NotAPermutation, ResourceLimit
 from .values import Value, cached_property
 
 Perm = tuple[int, ...]
 
-MAX_CARRIER_N = 300  # largest carrier a Cayley table is built for
+MAX_CARRIER_N = 256  # largest carrier a Cayley table is built for: a point fits in a byte
 
 
 def check_carrier(n: int) -> None:
     """Raise ResourceLimit past MAX_CARRIER_N, before an n-point table with
-    n^2 entries is built; above BYTE_N points its axiom check is the O(n^3)
-    Python triple scan."""
+    n^2 entries is built or checked."""
     if n > MAX_CARRIER_N:
         raise ResourceLimit("carrier size", n, MAX_CARRIER_N)
 
@@ -42,7 +42,13 @@ def identity_perm(degree: int) -> Perm:
 
 
 def is_permutation(mapping: Sequence[int], degree: int) -> bool:
-    return len(mapping) == degree and sorted(mapping) == list(range(degree))
+    """Whether mapping holds each int 0..degree-1 once; bools are ints, and
+    1.0 is not."""
+    return (
+        len(mapping) == degree
+        and all(isinstance(x, int) for x in mapping)
+        and sorted(mapping) == list(range(degree))
+    )
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -83,56 +89,63 @@ def perm_order(p: Perm) -> int:
 # ---------------------------------------------------------------------------
 # axiom checks on Cayley tables
 
-BYTE_N = 256  # carriers of at most this many points are checked one point per byte
+
+def byte_rows(table, error, not_square: str, out_of_range: str) -> tuple[bytes, ...]:
+    """The rows of an n-point table, n at most MAX_CARRIER_N, as byte
+    strings, one point per byte.
+
+    A row that is not n long, or an entry that is not an int (bools are
+    ints) in 0..n-1, raises error(not_square, (i,)) or
+    error(out_of_range, (i, j)) at the first, in row-major order.
+    """
+    n = len(table)
+    try:
+        rows = tuple(map(bytes, table))
+    except (TypeError, ValueError):  # an entry that is no int, or not in 0..255
+        pass
+    else:
+        if set(map(len, rows)) == {n} and max(map(max, rows)) < n:
+            return rows
+    for i, row in enumerate(table):  # find the first bad row or entry
+        if len(row) != n:
+            raise error(not_square, (i,))
+        for j, v in enumerate(row):
+            if not (isinstance(v, int) and 0 <= v < n):
+                raise error(out_of_range, (i, j))
 
 
-def holds_per_column(table, right_side) -> bool:
-    """Whether (a*b)*c equals right_side for every a, b and c, compared one
-    column c at a time, with every product read in C by `bytes.translate`.
+def first_failure(rows: tuple[bytes, ...], right_side) -> tuple[int, int, int] | None:
+    """The first (a, b, c), in lexicographic order, where (a*b)*c differs
+    from right_side, or None when the identity holds for every triple.
 
     The table is read as its row-major entries, one byte each. Row x,
     padded to 256 bytes, is the translation map t -> x*t, and column c is
     every n-th byte from c. The entries translated by column c are (a*b)*c
     for all a and b, and right_side(col, maps) builds the other side from
-    column c and the row maps, in the same order. The table must be square
-    with entries in range, on at most BYTE_N points.
+    column c and the row maps, in the same order. The first byte i where
+    the two sides differ gives the first failing (a, b) = divmod(i, n) for
+    that c, and the least (i, c) over all columns the first failing triple.
     """
-    n = len(table)
-    pad = bytes(BYTE_N - n)
-    flat = b"".join(map(bytes, table))
-    maps = [flat[i : i + n] + pad for i in range(0, n * n, n)]
+    n = len(rows)
+    pad = bytes(256 - n)
+    flat = b"".join(rows)
+    maps = [row + pad for row in rows]
+    first = (n * n, 0)
     for c in range(n):
         col = flat[c::n]
-        if flat.translate(col + pad) != right_side(col, maps):
-            return False
-    return True
-
-
-def first_non_int(table) -> tuple[int, int] | None:
-    """(i, j) of the first entry, in row-major order, that is not an int
-    (bools are ints), or None."""
-    for i, row in enumerate(table):
-        for j, v in enumerate(row):
-            if not isinstance(v, int):
-                return i, j
-    return None
+        left = flat.translate(col + pad)
+        right = right_side(col, maps)
+        if left != right:
+            # the highest set bit of the xor lies in the first differing byte
+            diff = int.from_bytes(left, "big") ^ int.from_bytes(right, "big")
+            first = min(first, (n * n - (diff.bit_length() + 7) // 8, c))
+    i, c = first
+    return None if i == n * n else (*divmod(i, n), c)
 
 
 def _associative_side(col: bytes, maps: list[bytes]) -> bytes:
     """a*(b*c) for all a and b, in row-major order, c the given column."""
     return b"".join(map(col.translate, maps))
-
-
-def _scan_associativity(table) -> None:
-    """Raise NotAGroup at the first (a, b, c), in lexicographic order, with
-    (a*b)*c != a*(b*c): the literal O(n^3) check."""
-    n = len(table)
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            for c in range(n):
-                if table[ab][c] != table[a][table[b][c]]:
-                    raise NotAGroup("associativity fails", (a, b, c))
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +155,14 @@ def _scan_associativity(table) -> None:
 class FiniteGroup(Value):
     """Group on {0..n-1} given by its full multiplication table.
 
-    Construction validates every axiom eagerly (rows and columns are
-    permutations, the identity behaves, associativity holds for all triples).
-    Associativity is compared column by column in C (`holds_per_column`) on
-    carriers of at most BYTE_N points. The triple scan runs above that, and
-    whenever the comparison fails, so that NotAGroup names the first failing
-    (a, b, c) in lexicographic order. An entry that is not an int is out of
-    range; one that equals a point, such as 1.0, is named (the first such
-    entry) where the associativity check meets it, unless an axiom checked
-    before that fails first. An identity that is not a plain int, such as
-    0.0, "0" or None, is out of range.
+    Construction validates every axiom eagerly, in this order: at most
+    MAX_CARRIER_N points (ResourceLimit), before anything else is read; a
+    nonempty square table of ints (bools are ints) in 0..n-1, the first bad
+    row or entry named in row-major order; rows, then columns, are
+    permutations; the identity is a plain int in 0..n-1 (not 0.0, "0" or
+    None) and behaves; associativity holds for every triple, checked in C
+    by `first_failure`, so NotAGroup names the first failing (a, b, c) in
+    lexicographic order.
     """
 
     _fields = ("table", "identity", "name")
@@ -161,15 +172,10 @@ class FiniteGroup(Value):
         table = tuple(map(tuple, table))
         self.__dict__.update(table=table, identity=identity, name=name)
         n = len(table)
+        check_carrier(n)
         if n == 0:
             raise NotAGroup("empty carrier")
-        if set(map(len, table)) != {n} or not set(range(n)).issuperset(chain.from_iterable(table)):
-            for i, row in enumerate(table):  # find the first bad row or entry
-                if len(row) != n:
-                    raise NotAGroup("table is not square", (i,))
-                for j, v in enumerate(row):
-                    if not (isinstance(v, int) and 0 <= v < n):
-                        raise NotAGroup("entry out of range", (i, j))
+        rows = byte_rows(table, NotAGroup, "table is not square", "entry out of range")
         for i, row in enumerate(table):
             if len(set(row)) != n:
                 raise NotAGroup(f"row {i} is not a permutation", (i,))
@@ -182,11 +188,9 @@ class FiniteGroup(Value):
         for x in range(n):
             if table[e][x] != x or table[x][e] != x:
                 raise NotAGroup("identity fails", (e, x))
-        try:
-            if n > BYTE_N or not holds_per_column(table, _associative_side):
-                _scan_associativity(table)
-        except TypeError:  # an entry equal to a point, such as 0.0, that is no int
-            raise NotAGroup("entry out of range", first_non_int(table)) from None
+        witness = first_failure(rows, _associative_side)
+        if witness:
+            raise NotAGroup("associativity fails", witness)
 
     @property
     def size(self) -> int:
@@ -225,6 +229,7 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def symmetric_group(n: int) -> FiniteGroup:
     """Sym(n) as a Cayley table over the lexicographically sorted permutations."""
+    check_carrier(math.factorial(n))
     elems = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(elems)}
     table = tuple(tuple(index[compose(p, q)] for q in elems) for p in elems)

@@ -7,10 +7,9 @@ every table built through it, and every quandle the package returns, is
 valid. One private path skips it: `search.generate_all_quandles` wraps the
 tables its column search finds without a check, only to compare their
 canonical forms, and builds each class it returns through the constructor.
-Right-distributivity is checked in C, one column at a time
-(`groups.holds_per_column`), on carriers of at most `groups.BYTE_N` = 256
-points; the O(n^3) Python triple scan runs only above that, or after that
-check fails, to name the first failing triple.
+A carrier has at most `groups.MAX_CARRIER_N` = 256 points, one byte each,
+and right-distributivity is checked in C, one column at a time
+(`groups.first_failure`), which also names the first failing triple.
 
 A quandle keeps its translation maps as fields (`rows`, the table, and
 `columns`, its transpose) and computes two facts about them once, on first
@@ -25,19 +24,18 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from functools import lru_cache, reduce
-from itertools import chain, permutations
+from itertools import permutations
 
 from .errors import NotAQuandle, NotInvertible, ResourceLimit
 from .groups import (
-    BYTE_N,
     FiniteGroup,
     GroupAutomorphism,
     PermutationGroup,
+    byte_rows,
     check_carrier,
     closure,
     compose,
-    first_non_int,
-    holds_per_column,
+    first_failure,
     identity_perm,
     product_table,
 )
@@ -55,15 +53,14 @@ class FiniteQuandle(Value):
     moves a point and the first left translation that merges two; the fast
     path's certificates and the structure predicates read them.
 
-    NotAQuandle names the first axiom that fails and its first witness: a
-    row, then an entry (i, j), in row-major order; a diagonal entry; a
-    column; a triple (a, b, c) in lexicographic order. The entries and the
-    triples are first checked as a whole, and an entry-by-entry or
-    triple-by-triple Python scan runs only when that check fails, to find
-    the witness. An entry that is not an int is out of range; one that
-    equals a point, such as 1.0, gets through the set check, and is named
-    (the first such entry) where the distributivity check meets it, unless
-    an axiom checked before that fails first.
+    A table of more than `groups.MAX_CARRIER_N` points raises ResourceLimit
+    before anything else is read. Otherwise NotAQuandle names the first
+    axiom that fails and its first witness: a row, then an entry (i, j) that
+    is not an int (bools are ints) in 0..n-1, in row-major order; a diagonal
+    entry; a column; a triple (a, b, c) in lexicographic order. The entries
+    and the triples are checked as a whole in C (`groups.byte_rows`,
+    `groups.first_failure`); only a failed entry check scans the rows for
+    its witness.
     """
 
     _fields = ("table", "name")
@@ -72,28 +69,21 @@ class FiniteQuandle(Value):
     def __init__(self, table: Sequence[Sequence[int]], name: str | None = None):
         table = tuple(map(tuple, table))
         n = len(table)
+        check_carrier(n)
         # the columns are read off during validation
         self.__dict__.update(table=table, name=name, size=n, rows=table, columns=tuple(zip(*table)))
         if n == 0:
             raise NotAQuandle("nonempty carrier", ())
-        if set(map(len, table)) != {n} or not set(range(n)).issuperset(chain.from_iterable(table)):
-            for i, row in enumerate(table):  # find the first bad row or entry
-                if len(row) != n:
-                    raise NotAQuandle("square table", (i,))
-                for j, v in enumerate(row):
-                    if not (isinstance(v, int) and 0 <= v < n):
-                        raise NotAQuandle("entry in range", (i, j))
+        rows = byte_rows(table, NotAQuandle, "square table", "entry in range")
         for i in range(n):
             if table[i][i] != i:
                 raise NotAQuandle("idempotency", (i, i))
         for j, col in enumerate(self.columns):
             if len(set(col)) != n:
                 raise NotAQuandle("right-bijectivity", (j,))
-        try:
-            if n > BYTE_N or not holds_per_column(table, _distributive_side):
-                _scan_distributivity(table)
-        except TypeError:  # an entry equal to a point, such as 0.0, that is no int
-            raise NotAQuandle("entry in range", first_non_int(table)) from None
+        witness = first_failure(rows, _distributive_side)
+        if witness:
+            raise NotAQuandle("right-distributivity", witness)
 
     def op(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -156,7 +146,7 @@ def _least_relabelling(table) -> tuple[tuple[int, ...], ...]:
     rows after it cannot make it smaller.
     """
     n = len(table)
-    rows = [bytes(row).ljust(BYTE_N, b"\0") for row in table]
+    rows = [bytes(row).ljust(256, b"\0") for row in table]
     best = [b"\xff" * n] * n  # above every row of a relabelling
     for ib, pt in _relabellings(n):
         row = ib.translate(rows[ib[0]]).translate(pt)
@@ -192,18 +182,6 @@ def _distributive_side(col: bytes, maps: list[bytes]) -> bytes:
     """(a*c)*(b*c) for all a and b, in row-major order, c the given column:
     row a*c translates the column."""
     return b"".join(map(col.translate, map(maps.__getitem__, col)))
-
-
-def _scan_distributivity(table) -> None:
-    """Raise NotAQuandle at the first (a, b, c), in lexicographic order, with
-    (a*b)*c != (a*c)*(b*c): the literal O(n^3) check."""
-    n = len(table)
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            for c in range(n):
-                if table[ab][c] != table[table[a][c]][table[b][c]]:
-                    raise NotAQuandle("right-distributivity", (a, b, c))
 
 
 # ---------------------------------------------------------------------------

@@ -169,9 +169,9 @@ def first_quandle_violation(table) -> tuple[str, tuple] | None:
     `NotAQuandle` names them (`axiom`, `witness`), or None for a quandle.
 
     The axioms are checked in order: a nonempty carrier; every row of n
-    entries, each in 0..n-1 (row-major order); x*x = x; every column a
-    permutation; (a*b)*c = (a*c)*(b*c) for every triple (a, b, c) in
-    lexicographic order.
+    entries, each an int (bools are ints) in 0..n-1 (row-major order);
+    x*x = x; every column a permutation; (a*b)*c = (a*c)*(b*c) for every
+    triple (a, b, c) in lexicographic order.
     """
     n = len(table)
     if n == 0:
@@ -180,7 +180,7 @@ def first_quandle_violation(table) -> tuple[str, tuple] | None:
         if len(row) != n:
             return ("square table", (i,))
         for j, v in enumerate(row):
-            if not (0 <= v < n):
+            if not (isinstance(v, int) and 0 <= v < n):
                 return ("entry in range", (i, j))
     for x in range(n):
         if table[x][x] != x:
@@ -199,10 +199,10 @@ def first_group_violation(table, identity: int) -> tuple[str, tuple] | None:
     witness, as `NotAGroup` names them (`reason`, `witness`), or None.
 
     The axioms are checked in order: a nonempty carrier; every row of n
-    entries, each in 0..n-1 (row-major order); every row, then every column,
-    a permutation; the identity a point (a plain int in 0..n-1) with
-    e*x = x*e = x for every x;
-    (a*b)*c = a*(b*c) for every triple (a, b, c) in lexicographic order.
+    entries, each an int (bools are ints) in 0..n-1 (row-major order);
+    every row, then every column, a permutation; the identity a point (a
+    plain int in 0..n-1) with e*x = x*e = x for every x; (a*b)*c = a*(b*c)
+    for every triple (a, b, c) in lexicographic order.
     """
     n = len(table)
     if n == 0:
@@ -211,7 +211,7 @@ def first_group_violation(table, identity: int) -> tuple[str, tuple] | None:
         if len(row) != n:
             return ("table is not square", (i,))
         for j, v in enumerate(row):
-            if not (0 <= v < n):
+            if not (isinstance(v, int) and 0 <= v < n):
                 return ("entry out of range", (i, j))
     for i in range(n):
         if sorted(table[i]) != list(range(n)):

@@ -60,6 +60,7 @@ class TestGroupFromTable:
             ([[0, 1], [1, 0.0]], (1, 1)),
             ([[0, "1"], [1, 0]], (0, 1)),
             ([[0, None], [1, 0]], (0, 1)),
+            ([[1, 0.0], [0, 1]], (0, 1)),  # named before the identity fails at (0, 0)
         ],
     )
     def test_non_int_entry_is_out_of_range(self, table, witness):
@@ -167,21 +168,6 @@ class TestValidationOracle:
                 FiniteGroup(table, identity=identity)
             assert (exc.value.reason, exc.value.witness) == expected
 
-    def test_scan_runs_only_after_a_failed_check(self, monkeypatch):
-        def no_scan(table):
-            raise AssertionError("the triple scan ran on a group")
-
-        monkeypatch.setattr(groups, "_scan_associativity", no_scan)
-        for g in (
-            cyclic_group(1),
-            cyclic_group(256),
-            symmetric_group(4),
-            direct_product(cyclic_group(2), symmetric_group(3)),
-        ):
-            FiniteGroup(g.table, g.identity)
-        with pytest.raises(AssertionError, match="triple scan"):
-            FiniteGroup(NONASSOC_LOOP, identity=0)
-
 
 class TestCyclicGroup:
     def test_trivial(self):
@@ -285,6 +271,15 @@ class TestClosure:
     def test_rejects_non_permutation(self):
         with pytest.raises(NotAPermutation):
             closure([(0, 0, 1)], 3)
+
+    def test_rejects_images_that_are_not_ints(self):
+        with pytest.raises(NotAPermutation):
+            closure([(1.0, 0.0)], 2)
+        assert closure([(True, False)], 2).order == 2
+
+    def test_permutation_group_rejects_images_that_are_not_ints(self):
+        with pytest.raises(NotAPermutation):
+            PermutationGroup(2, [(0, 1), (1.0, 0.0)])
 
     def test_resource_limit(self):
         # Sym(5) has 120 elements; the count stops at the first one over the cap
@@ -436,6 +431,10 @@ class TestAutomorphisms:
     def test_non_bijective_rejected(self):
         with pytest.raises(NotAnAutomorphism):
             GroupAutomorphism(cyclic_group(3), (0, 0, 1))
+
+    def test_map_of_non_ints_rejected(self):
+        with pytest.raises(NotAnAutomorphism, match="bijection"):
+            GroupAutomorphism(cyclic_group(2), (0.0, 1.0))
 
     def test_non_homomorphism_rejected(self):
         with pytest.raises(NotAnAutomorphism):

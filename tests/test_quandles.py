@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quorder import (
+    FiniteGroup,
     FiniteQuandle,
     NotAQuandle,
     NotInvertible,
@@ -29,7 +30,7 @@ from quorder import (
     symmetric_group,
     trivial_quandle,
 )
-from quorder import quandles
+from quorder import groups, quandles
 from quorder.cli import quandle_from_builtin
 from quorder.groups import MAX_CARRIER_N, check_carrier, identity_perm, is_cyclic
 from quorder.groups import orbits as group_orbits
@@ -69,22 +70,14 @@ class TestValidation:
             ([[0, "1"], [0, 1]], (0, 1)),
             ([[0, None], [0, 1]], (0, 1)),
             ([[0, 0.5], [1, 1]], (0, 1)),
+            ([[1, 0.0], [0, 1]], (0, 1)),  # named before idempotency fails at (0, 0)
         ],
     )
     def test_non_int_entry_is_out_of_range(self, table, witness):
-        # 0.0 and 1.0 equal points, so only the byte check meets them
+        # 0.0 and 1.0 equal points, and are still named before any axiom
         with pytest.raises(NotAQuandle) as exc:
             FiniteQuandle(table)
         assert (exc.value.axiom, exc.value.witness) == ("entry in range", witness)
-
-    def test_non_int_entry_above_the_byte_range(self):
-        # there the triple scan meets it, as an index
-        n = 257
-        table = [[(2 * j - i) % n for j in range(n)] for i in range(n)]
-        table[3][3] = 3.0
-        with pytest.raises(NotAQuandle) as exc:
-            FiniteQuandle(table)
-        assert (exc.value.axiom, exc.value.witness) == ("entry in range", (3, 3))
 
     def test_bool_entries_are_accepted(self):
         assert FiniteQuandle([[False, False], [True, True]]) == trivial_quandle(2)
@@ -179,28 +172,16 @@ class TestValidationOracle:
         # ragged rows and out-of-range entries reach the row-major scan
         assert_validates_like_scan(table)
 
-    def test_above_the_byte_range_the_scan_decides(self):
-        # dihedral:257 with 0*2 and 1*2 swapped: 257 points do not fit in a
-        # byte, so the triple scan alone finds the failure, at an early triple
-        n = 257
+    def test_largest_carrier_names_its_first_failing_triple(self):
+        # dihedral:256 with 0*2 and 1*2 swapped: every column's byte
+        # comparison fails, and the least first failure over them is named
+        n = MAX_CARRIER_N
         table = [[(2 * j - i) % n for j in range(n)] for i in range(n)]
         table[0][2], table[1][2] = table[1][2], table[0][2]
         with pytest.raises(NotAQuandle) as exc:
             FiniteQuandle(table)
         assert (exc.value.axiom, exc.value.witness) == ("right-distributivity", (0, 1, 2))
         assert first_quandle_violation(table) == ("right-distributivity", (0, 1, 2))
-
-    def test_scan_runs_only_after_a_failed_check(self, monkeypatch, labeled_catalog):
-        def no_scan(table):
-            raise AssertionError("the triple scan ran on a quandle")
-
-        monkeypatch.setattr(quandles, "_scan_distributivity", no_scan)
-        for q in [q for qs in labeled_catalog.values() for q in qs] + [
-            quandle_from_builtin(spec) for spec in ("dihedral:36", "conj:s4", "core:s5", "dihedral:256")
-        ]:
-            FiniteQuandle(q.table)
-        with pytest.raises(AssertionError, match="triple scan"):
-            FiniteQuandle([[0, 2, 0], [2, 1, 1], [1, 0, 2]])
 
 
 class TestRelabellings:
@@ -353,14 +334,30 @@ class TestCarrierCap:
             lambda: dihedral_quandle(MAX_CARRIER_N + 1),
             lambda: affine_quandle(MAX_CARRIER_N + 1, 2),
             lambda: cyclic_group(MAX_CARRIER_N + 1),
+            lambda: symmetric_group(6),
             lambda: direct_product(cyclic_group(20), cyclic_group(20)),
             lambda: product_quandle([dihedral_quandle(3)] * 5 + [trivial_quandle(2)]),
         ],
-        ids=["trivial", "dihedral", "affine", "cyclic", "direct-product", "product"],
+        ids=["trivial", "dihedral", "affine", "cyclic", "symmetric", "direct-product", "product"],
     )
     def test_oversized_carriers_raise_before_building(self, build):
         with pytest.raises(ResourceLimit):
             build()
+
+    @pytest.mark.parametrize(
+        "module, build",
+        [(quandles, FiniteQuandle), (groups, lambda table: FiniteGroup(table, 0))],
+        ids=["quandle", "group"],
+    )
+    def test_constructors_refuse_oversized_tables_before_reading_them(self, monkeypatch, module, build):
+        def no_bytes(*args):
+            raise AssertionError("the rows were read")
+
+        monkeypatch.setattr(module, "byte_rows", no_bytes)
+        table = [[0] * (MAX_CARRIER_N + 1)] * (MAX_CARRIER_N + 1)
+        with pytest.raises(ResourceLimit) as info:
+            build(table)
+        assert (info.value.requested, info.value.cap) == (MAX_CARRIER_N + 1, MAX_CARRIER_N)
 
 
 class TestTranslations:

@@ -896,13 +896,13 @@ class TestIsomorphism:
         # the up_to_iso path checks the axioms of its class forms only; the
         # labelled path checks every table it returns
         checked = []
-        holds = quandles.holds_per_column
+        first_failure = quandles.first_failure
 
-        def counted_check(table, side):
-            checked.append(table)
-            return holds(table, side)
+        def counted_check(rows, side):
+            checked.append(tuple(map(tuple, rows)))
+            return first_failure(rows, side)
 
-        monkeypatch.setattr(quandles, "holds_per_column", counted_check)
+        monkeypatch.setattr(quandles, "first_failure", counted_check)
         classes = generate_all_quandles(5, up_to_iso=True)
         assert sorted(checked) == sorted(q.table for q in classes)
         assert len(checked) == 22
