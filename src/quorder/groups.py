@@ -330,6 +330,9 @@ def closure(generators: Iterable[Perm], degree: int, max_size: int | None = 1000
     *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991, after
     Dimino 1971).
 
+    Only the generators are validated: every element is composed from them,
+    so the group is built without the constructor's check of each element.
+
     Elements are counted one at a time, so ResourceLimit is raised the moment
     the group reaches max_size + 1 elements, with exactly that count as the
     requested size. A group of max_size elements passes; None means no cap.
@@ -363,7 +366,9 @@ def closure(generators: Iterable[Perm], degree: int, max_size: int | None = 1000
                 if rt not in seen:
                     reps.append(rt)
                     add_coset(subgroup, rt)
-    return PermutationGroup(degree, frozenset(seen), tuple(kept))
+    group = object.__new__(PermutationGroup)
+    group.__dict__.update(degree=degree, elements=frozenset(seen), generators=tuple(kept))
+    return group
 
 
 def is_cyclic(g: PermutationGroup) -> bool:

@@ -16,7 +16,9 @@ right translation that moves a point, on the left side (LCO, BCO, LO) the
 first non-injective left translation, else L_0, which moves 1. Both facts
 are computed once per quandle and kept (`FiniteQuandle.first_moved` and
 `first_merged`), so the five fast paths, and `is_trivial_quandle` and
-`is_latin`, read them instead of scanning the translations again.
+`is_latin`, read them instead of scanning the translations again. A fast
+verdict builds its witness or certificate from them only when it is first
+read (`Verdict`).
 
 By the same lemma a finite order space is either its whole ground set of
 arrangements or rankings or empty, so `enumerate_space` is a closed form:
@@ -36,7 +38,8 @@ built once per order, without building any order object for them.
 
 The census classifies the quandles of each order up to isomorphism by one
 relabelling search: the canonical form, the least of a table's n!
-relabellings, computed once per quandle. Two quandles are isomorphic exactly
+relabellings, computed once per quandle by one C-level `min`
+(`FiniteQuandle.canonical_table`). Two quandles are isomorphic exactly
 when their forms are equal, and each class is reported as its form.
 """
 
@@ -68,7 +71,7 @@ from .corders import is_left_invariant, is_left_order, is_right_invariant, is_ri
 from .groups import closure, is_cyclic, is_semiregular  # noqa: F401
 from .quandles import FiniteQuandle, is_involutory, is_latin, is_trivial_quandle
 from .quandles import orbits as quandle_orbits
-from .values import Value
+from .values import Value, cached_property
 
 
 class SearchCaps(Value):
@@ -113,7 +116,16 @@ class Certificate(Value):
 
 
 class Verdict(Value):
-    """Decision result: a witness when yes, a certificate when no."""
+    """Decision result: a witness when yes, a certificate when no.
+
+    `Verdict(answer, witness=..., certificate=...)` sets the evidence at once.
+    The fast path's verdicts (`_lazy_verdict`) hold the answer and the recipe
+    for their evidence, and build the witness or the certificate on first
+    read (`values.cached_property`), so a caller that reads only `.answer`,
+    as `census` does, builds neither. Equality, hashing and repr read the
+    fields, so a lazy verdict compares, hashes and prints as the eager one
+    with the same evidence does.
+    """
 
     _fields = ("answer", "witness", "certificate")
 
@@ -131,6 +143,26 @@ class Verdict(Value):
         fields["answer"] = answer
         fields["witness"] = witness
         fields["certificate"] = certificate
+
+    @cached_property
+    def witness(self) -> CyclicOrder | LinearOrder | None:
+        return self._evidence() if self.answer else None
+
+    @cached_property
+    def certificate(self) -> Certificate | None:
+        return None if self.answer else self._evidence()
+
+    def _evidence(self):
+        build, q, circle = self._recipe
+        return build(q, circle)
+
+
+def _lazy_verdict(answer: bool, build, q: FiniteQuandle, circle: bool) -> Verdict:
+    """A verdict whose evidence, the witness of a yes or the certificate of a
+    no, is build(q, circle), built when first read."""
+    verdict = object.__new__(Verdict)
+    verdict.__dict__.update(answer=answer, _recipe=(build, q, circle))
+    return verdict
 
 
 class OrderSpace(Value):
@@ -247,31 +279,40 @@ def _fast_right(q: FiniteQuandle, circle: bool) -> Verdict:
     """RCO (circle) or RO: R_s fixes s, so a right translation that preserves
     the order is the identity, and only trivial quandles qualify. Every
     quandle on at most two points is trivial, so the circle needs no n <= 2
-    case. A no names the first right translation that moves a point
+    case. The evidence is built on first read (`_right_evidence`)."""
+    return _lazy_verdict(q.first_moved is None, _right_evidence, q, circle)
+
+
+def _right_evidence(q: FiniteQuandle, circle: bool) -> CyclicOrder | LinearOrder | Certificate:
+    """The identity order for `_fast_right`'s yes; for its no, a certificate
+    naming the first right translation that moves a point
     (`FiniteQuandle.first_moved`)."""
     moved = q.first_moved
     if moved is None:
-        return Verdict(True, witness=_identity_order(q.size, circle))
+        return _identity_order(q.size, circle)
     s, t, image = moved
     why = _CIRCLE if circle else "a strictly increasing bijection of a finite chain is the identity"
-    return Verdict(
-        False,
-        certificate=Certificate(
-            NON_IDENTITY_RIGHT,
-            {"base": s, "point": t, "image": image},
-            f"right translation by {s} moves {t} to {image}; {why}",
-        ),
+    return Certificate(
+        NON_IDENTITY_RIGHT,
+        {"base": s, "point": t, "image": image},
+        f"right translation by {s} moves {t} to {image}; {why}",
     )
 
 
 def _fast_left(q: FiniteQuandle, circle: bool) -> Verdict:
     """LCO and BCO (circle) or LO: no left translation is the identity, so
     beyond two points (the circle) or one point (the chain) the answer is no.
-    A no names the first non-injective left translation
+    The evidence is built on first read (`_left_evidence`)."""
+    return _lazy_verdict(q.size <= (2 if circle else 1), _left_evidence, q, circle)
+
+
+def _left_evidence(q: FiniteQuandle, circle: bool) -> CyclicOrder | LinearOrder | Certificate:
+    """The identity order for `_fast_left`'s yes; for its no, a certificate
+    naming the first non-injective left translation
     (`FiniteQuandle.first_merged`), else L_0, which fixes 0 and moves 1."""
     n = q.size
     if n <= (2 if circle else 1):
-        return Verdict(True, witness=_identity_order(n, circle))
+        return _identity_order(n, circle)
     cert = _first_non_injective_left(q)
     if cert is None:
         # in a quandle s*t = t forces s = t, so row 0 moves the point 1
@@ -282,7 +323,7 @@ def _fast_left(q: FiniteQuandle, circle: bool) -> Verdict:
             {"base": 0, "point": 1, "image": image},
             f"left translation by 0 moves 1 to {image}; {why}",
         )
-    return Verdict(False, certificate=cert)
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +832,8 @@ def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
     definition, so its members are the arrangements both of those filters
     kept, intersected only when neither is empty, and no arrangement is
     tested for it again. Every space's flag is the fast path's answer,
-    through DECIDERS, diffed against its size on every class. The spaces'
+    through DECIDERS, diffed against its size on every class; census reads
+    only the answers, so no witness or certificate is built. The spaces'
     maps, deciders and record keys are read once per call, each record is
     built in one pass, and the structure columns read the translation facts
     the fast path computed.

@@ -17,6 +17,7 @@ from quorder import (
     closure,
     cyclic_group,
     direct_product,
+    inner_group,
     is_cyclic,
     is_semiregular,
     scaling_automorphism,
@@ -280,6 +281,22 @@ class TestClosure:
     def test_permutation_group_rejects_images_that_are_not_ints(self):
         with pytest.raises(NotAPermutation):
             PermutationGroup(2, [(0, 1), (1.0, 0.0)])
+
+    def test_closure_checks_only_the_generators(self, monkeypatch):
+        # the 24 columns of conj:s4 are checked; the 24 elements composed
+        # from them are not checked again
+        checked = []
+        is_perm = groups.is_permutation
+
+        def counted(mapping, degree):
+            checked.append(tuple(mapping))
+            return is_perm(mapping, degree)
+
+        q = quandle_from_builtin("conj:s4")
+        monkeypatch.setattr(groups, "is_permutation", counted)
+        g = inner_group(q)
+        assert sorted(checked) == sorted(q.columns)
+        assert g.order == 24 and g == PermutationGroup(24, g.elements)
 
     def test_resource_limit(self):
         # Sym(5) has 120 elements; the count stops at the first one over the cap

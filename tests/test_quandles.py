@@ -1,5 +1,6 @@
 import functools
-from itertools import permutations, product
+import math
+from itertools import chain, islice, permutations, product
 
 import pytest
 from definitional import first_quandle_violation
@@ -187,18 +188,46 @@ class TestValidationOracle:
 class TestRelabellings:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_pairs_in_permutations_order(self, n):
-        pairs = quandles._relabellings(n)
+        # relabelling number r is the r-th permutation ib = p^-1: its position
+        # table P and its 256-byte label table pt = p
+        positions, labels = quandles._relabellings(n)
         ident = bytes(range(n))
-        assert [ib for ib, _ in pairs] == [bytes(p) for p in permutations(range(n))]
-        assert all(len(pt) == 256 and ib.translate(pt) == ident for ib, pt in pairs)
+        perms = [bytes(p) for p in permutations(range(n))]
+        assert len(positions) == len(labels) == len(perms)
+        for ib, table, pt in zip(perms, positions, labels):
+            assert table == bytes(ib[i] * n + ib[j] for i in range(n) for j in range(n))
+            assert len(pt) == 256 and ib.translate(pt) == ident
 
-    def test_one_order_is_kept(self):
-        assert quandles._relabellings.cache_info().maxsize == 1
-        first = quandles._relabellings(4)
-        assert quandles._relabellings(4) is first
-        quandles._relabellings(3)
-        assert quandles._relabellings.cache_info().currsize == 1
-        assert quandles._relabellings(4) is not first
+    def test_every_order_is_kept(self):
+        assert quandles._relabellings.cache_info().maxsize is None
+        kept = {n: quandles._relabellings(n) for n in (4, 3, 5, 1)}
+        assert all(quandles._relabellings(n) is tables for n, tables in kept.items())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n),
+                st.integers(0, math.factorial(n) - 1),
+            )
+        )
+    )
+    def test_position_table_relabels_any_table(self, case):
+        # P.translate(flat).translate(pt) is the table p carries to: entry
+        # (i, j) = v goes to (p[i], p[j]) = p[v], on any square table
+        table, r = case
+        n = len(table)
+        positions, labels = quandles._relabellings(n)
+        ib = next(islice(permutations(range(n)), r, None))
+        p = [0] * n
+        for i, x in enumerate(ib):
+            p[x] = i
+        relabelled = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                relabelled[p[i]][p[j]] = p[table[i][j]]
+        flat = bytes(chain.from_iterable(table)).ljust(256, b"\0")
+        assert positions[r].translate(flat).translate(labels[r]) == bytes(chain.from_iterable(relabelled))
 
     def test_tables_of_one_order_share_the_pairs(self, monkeypatch):
         built = []

@@ -69,7 +69,7 @@ from quorder import (
     trivial_quandle,
 )
 from quorder import quandles, search
-from quorder.cli import quandle_from_builtin
+from quorder.cli import quandle_from_builtin, verdict_to_json
 from quorder.groups import orbits as group_orbits
 from quorder.search import (
     EXHAUSTED,
@@ -487,6 +487,37 @@ def _reference_certificate(q, kind):
     return NON_INJECTIVE_LEFT, {"base": s, "pair": [t1, t2], "image": image}, f"left translation by {s} sends both {t1} and {t2} to {image}"
 
 
+# the reason a fast no gives after the translation it names, unless that
+# translation merges two points
+_WHY = {
+    "RCO": search._CIRCLE,
+    "LCO": search._CIRCLE,
+    "BCO": search._CIRCLE,
+    "RO": "a strictly increasing bijection of a finite chain is the identity",
+    "LO": "a strictly increasing self-map of a finite chain is the identity",
+}
+
+
+def _eager_fast_verdict(q, kind):
+    """The fast path's verdict, built with its evidence at once from the
+    reference scans."""
+    expected = _reference_certificate(q, kind)
+    if expected is None:
+        return Verdict(True, witness=(CyclicOrder if SPACES[kind].circle else LinearOrder)(range(q.size)))
+    cert_kind, data, detail = expected
+    if cert_kind != NON_INJECTIVE_LEFT:
+        detail += _WHY[kind]
+    return Verdict(False, certificate=Certificate(cert_kind, data, detail))
+
+
+def _hash_or_none(verdict):
+    """The verdict's hash; None when it is unhashable, as a certificate is."""
+    try:
+        return hash(verdict)
+    except TypeError:
+        return None
+
+
 class TestTranslationFacts:
     def test_cached_facts_equal_the_reference_scans(self, fact_cases):
         for q in fact_cases:
@@ -506,6 +537,20 @@ class TestTranslationFacts:
                 assert not v.answer and (cert.kind, cert.data) == expected[:2], (kind, q.table)
                 assert cert.detail.startswith(expected[2]), (kind, cert.detail)
                 assert recheck_certificate(q, cert, kind), (kind, q.table)
+
+    def test_fast_verdicts_read_like_eagerly_built_ones(self, fact_cases):
+        # a fast verdict builds its evidence on first read; whichever read
+        # comes first, it equals, hashes, prints and renders as the verdict
+        # built with its evidence at once
+        for q in fact_cases:
+            for kind in SPACES:
+                eager = _eager_fast_verdict(q, kind)
+                fresh = decide(kind, q, "fast")
+                assert not {"witness", "certificate"} & set(vars(fresh)), (kind, q.table)
+                assert fresh == eager and eager == decide(kind, q, "fast"), (kind, q.table)
+                assert _hash_or_none(decide(kind, q, "fast")) == _hash_or_none(eager), (kind, q.table)
+                assert repr(decide(kind, q, "fast")) == repr(eager), (kind, q.table)
+                assert verdict_to_json(decide(kind, q, "fast")) == verdict_to_json(eager), (kind, q.table)
 
     def test_structure_matches_the_definitions(self, fact_cases):
         for q in fact_cases:
@@ -787,6 +832,61 @@ class TestOrderlyGeneration:
         # a class of order n has n!/|Aut(Q)| labelled members
         total = sum(factorial(n) // automorphism_count(q.table) for q in class_catalog[n])
         assert total == len(labelled[n]) == [1, 1, 5, 36, 404][n - 1]
+
+
+def _greatest_k(table):
+    """The most points y with x*y = x, over the points x."""
+    return max(row.count(x) for x, row in enumerate(table))
+
+
+def _union(parts):
+    """The disjoint union of quandles, each part's points after the earlier
+    parts': points of different parts act trivially on each other."""
+    n = sum(q.size for q in parts)
+    table, lo = [], 0
+    for q in parts:
+        hi = lo + q.size
+        table += [[lo + q.op(x, y - lo) if lo <= y < hi else lo + x for y in range(n)] for x in range(q.size)]
+        lo = hi
+    return FiniteQuandle(table)
+
+
+class TestCanonicalKernel:
+    """`_least_relabelling` scans only the relabellings whose row 0 can be
+    least, with one C-level `min` over position and label tables."""
+
+    def test_row_0_of_labelled_forms_starts_with_the_greatest_k_zeros(self, labeled_catalog):
+        for n in (1, 2, 3, 4):
+            for q in labeled_catalog[n]:
+                k = _greatest_k(q.table)
+                form = canonical_form(q)
+                assert form[0][:k] == (0,) * k and form[0].count(0) == k, q.table
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_row_0_of_relabelled_forms_starts_with_the_greatest_k_zeros(self, class_catalog, order6_classes, n, data):
+        classes = order6_classes if n == 6 else class_catalog[n]
+        for q in classes:
+            relabelled = _relabel(q, data.draw(st.permutations(range(n))))
+            k = _greatest_k(relabelled.table)
+            form = canonical_form(relabelled)
+            assert form[0][:k] == (0,) * k and form[0].count(0) == k, q.table
+
+    @pytest.mark.parametrize("spec", ["dihedral:7", "affine:7:3", "trivial:7"])
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_seven_point_forms_equal_the_full_scan(self, spec, data):
+        relabelled = _relabel(quandle_from_builtin(spec), data.draw(st.permutations(range(7))))
+        assert canonical_form(relabelled) == _canonical_by_scan(relabelled)
+
+    @pytest.mark.parametrize("specs", ["dihedral:8", "trivial:8", "dihedral:3+dihedral:5"])
+    def test_eight_point_forms_equal_the_full_scan(self, specs):
+        # every point of dihedral:8 and of trivial:8 has the same k, so no
+        # block is cut; in the union the dihedral:3 points have the greater k
+        q = _union([quandle_from_builtin(spec) for spec in specs.split("+")])
+        relabelled = _relabel(q, (5, 2, 7, 0, 3, 6, 1, 4))
+        assert canonical_form(relabelled) == _canonical_by_scan(relabelled)
 
 
 def _labelled_candidates(n):
@@ -1096,8 +1196,9 @@ class TestCensus:
 
     def test_census_builds_two_byte_forms_per_order_and_no_ground_orders(self, monkeypatch):
         # each order's arrangements and rankings are built once, as byte
-        # forms, and none of their members becomes an order object: the only
-        # orders census makes are the witnesses of the fast path's yes verdicts
+        # forms, and none of their members becomes an order object; census
+        # reads only the fast verdicts' answers, so it builds no witness and
+        # no certificate either
         expected = census(4)
         forms, made = [], []
         ground_form, unchecked = search.ground_form, search._unchecked
@@ -1112,15 +1213,11 @@ class TestCensus:
 
         monkeypatch.setattr(search, "ground_form", counted_form)
         monkeypatch.setattr(search, "_unchecked", quandles_only)
-        for cls in (CyclicOrder, LinearOrder):
-            monkeypatch.setattr(search, cls.__name__, lambda value, cls=cls: made.append(cls) or cls(value))
+        for cls in (CyclicOrder, LinearOrder, Certificate):
+            monkeypatch.setattr(search, cls.__name__, lambda *args, cls=cls: made.append(cls) or cls(*args))
         assert census(4) == expected
         assert forms == [(n, circle) for n in (1, 2, 3, 4) for circle in (True, False)]
-        yes = Counter()
-        for record in expected:
-            for space in SPACES.values():
-                yes[CyclicOrder if space.circle else LinearOrder] += record[space.flag]
-        assert Counter(made) == yes
+        assert made == []
 
     def test_census_takes_the_catalogue_as_it_comes(self, class_catalog, monkeypatch):
         # the catalogue returns canonical forms in census order, so census
