@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from itertools import product
+from itertools import chain, product
 
 from .corders import CyclicOrder, LinearOrder, circular_from_linear
 from .errors import (
@@ -64,7 +64,16 @@ PROPERTIES = tuple(_DECIDERS)
 
 
 def parse_input(document) -> FiniteQuandle | FiniteGroup:
-    """Normalize a JSON document to a validated 0-indexed structure."""
+    """Normalize a JSON document to a validated 0-indexed structure.
+
+    The checks run in a fixed order, each naming the first failure: a JSON
+    object of a known kind, `index_base` 0 or 1, a list of lists, the
+    carrier cap, plain int entries, the name, then the constructor's
+    axioms. The entry types are checked in one pass over all entries, in
+    row-major order, so the first entry that is not an int is the one
+    named. Base-0 rows reach the constructor as parsed, which copies them
+    into tuples once; only base-1 rows are renumbered first.
+    """
     if not isinstance(document, dict):
         raise ParseError("input document must be a JSON object")
     kind = document.get("kind")
@@ -78,11 +87,10 @@ def parse_input(document) -> FiniteQuandle | FiniteGroup:
     if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
         raise ParseError("table must be a list of lists")
     check_carrier(len(table))
-    for row in table:
-        if not set(map(type, row)) <= {int}:
-            bad = next(v for v in row if type(v) is not int)
-            raise ParseError(f"table entries must be integers, got {bad!r}")
-    norm = tuple(tuple(map(base.__rsub__, row)) for row in table)
+    if not set(map(type, chain.from_iterable(table))) <= {int}:
+        bad = next(v for v in chain.from_iterable(table) if type(v) is not int)
+        raise ParseError(f"table entries must be integers, got {bad!r}")
+    norm = [tuple(map(base.__rsub__, row)) for row in table] if base else table
     name = document.get("name")
     if "name" in document and not isinstance(name, str):
         raise ParseError("name must be a string")

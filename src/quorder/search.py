@@ -701,6 +701,11 @@ def _column_search(candidates: list[list[Perm]]) -> list[tuple[Perm, ...]]:
     assigned, so the search keeps exactly the branches a test of all
     triples would. (k = j is never tested: then m = k and both sides are
     c_k . c_k.)
+
+    The depth-first search runs on an explicit stack of the choices left at
+    each assigned column, not by recursion, and no function in it refers to
+    itself, so it builds no reference cycle: its state is freed as soon as
+    it returns, without the cyclic garbage collector.
     """
     n = len(candidates)
     span = range(n)
@@ -735,26 +740,29 @@ def _column_search(candidates: list[list[Perm]]) -> list[tuple[Perm, ...]]:
                         return False
         return True
 
-    def descend(f: int) -> None:
-        if f == n:
-            found.append(tuple(cols))
-            return
-        choices = candidates[f]
-        if f:
-            unsigma = inverses[0]
-            j = unsigma[f]
-            if j < f:
-                sigma, cj = cols[0], cols[j]
-                forced = tuple([sigma[cj[y]] for y in unsigma])
-                choices = (forced,) if forced in allowed[f] else ()
-        for p in choices:
+    pending = [iter(candidates[0])]  # pending[f]: the choices left for column f
+    while pending:
+        f = len(pending) - 1
+        for p in pending[f]:
             cols[f] = p
             if consistent(f):
-                inverses[f] = sorted(span, key=p.__getitem__)
-                descend(f + 1)
-        cols[f] = None
-
-    descend(0)
+                break
+        else:
+            pending.pop()
+            continue
+        if f + 1 == n:
+            found.append(tuple(cols))
+            continue
+        inverses[f] = sorted(span, key=p.__getitem__)
+        f += 1
+        choices = candidates[f]
+        unsigma = inverses[0]
+        j = unsigma[f]
+        if j < f:
+            sigma, cj = cols[0], cols[j]
+            forced = tuple([sigma[cj[y]] for y in unsigma])
+            choices = (forced,) if forced in allowed[f] else ()
+        pending.append(iter(choices))
     return found
 
 

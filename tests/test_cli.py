@@ -46,6 +46,18 @@ def _run(*argv: str) -> tuple[dict, int]:
     return run(build_parser().parse_args(argv))
 
 
+# square int tables with entries in -1..n+1, and every quandle of order at
+# most 3 under both numberings, so that some tables pass every axiom
+_SQUARE_TABLES = st.one_of(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-1, n + 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    st.sampled_from([q.table for n in (1, 2, 3) for q in generate_all_quandles(n)]).flatmap(
+        lambda t: st.sampled_from([[list(row) for row in t], [[v + 1 for v in row] for row in t]])
+    ),
+)
+
+
 class TestParseInput:
     def test_one_indexed_document(self):
         q = parse_input(PAPER_DOC)
@@ -107,6 +119,31 @@ class TestParseInput:
         report, status = _run("check", "--input", str(path), "--property", "right-circular")
         assert status == 2
         assert report["error"]["kind"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "table, bad",
+        [([[0, 1], [1, True]], "True"), ([[0, 0.5], [True, 1]], "0.5"), ([[0, 0], [1, 1], [None]], "None")],
+    )
+    def test_first_non_int_in_row_major_order(self, table, bad):
+        with pytest.raises(ParseError) as exc:
+            parse_input({"kind": "quandle", "table": table})
+        assert str(exc.value) == f"table entries must be integers, got {bad}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=_SQUARE_TABLES, base=st.sampled_from([0, 1]))
+    def test_parse_matches_the_constructor_on_the_renumbered_table(self, table, base):
+        document = {"kind": "quandle", "index_base": base, "table": table}
+        before = json.dumps(document)
+        rows = [[v - base for v in row] for row in table]
+        try:
+            expected = FiniteQuandle(rows)
+        except NotAQuandle as exc:
+            with pytest.raises(NotAQuandle) as info:
+                parse_input(document)
+            assert (info.value.axiom, info.value.witness) == (exc.axiom, exc.witness)
+        else:
+            assert parse_input(document).table == expected.table
+        assert json.dumps(document) == before  # the document is not changed
 
 
 class TestRoundTrips:

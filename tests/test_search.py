@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from itertools import permutations, product
 from math import factorial
@@ -69,7 +70,7 @@ from quorder import (
     trivial_quandle,
 )
 from quorder import quandles, search
-from quorder.cli import quandle_from_builtin, verdict_to_json
+from quorder.cli import quandle_from_builtin, verdict_to_json, verify_paper
 from quorder.groups import orbits as group_orbits
 from quorder.search import (
     EXHAUSTED,
@@ -930,6 +931,21 @@ class TestColumnSearch:
         assert search._column_search(candidates) == column_search_all_pairs(candidates) == [first, second]
         candidates[2] = [p for p in candidates[2] if p[1] == 1]
         assert search._column_search(candidates) == column_search_all_pairs(candidates) == [first]
+
+    def test_the_engine_leaves_no_cyclic_garbage(self):
+        # every object the search and the census build is freed by reference
+        # counting when it returns, so the cyclic collector finds nothing
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            census(5)
+            generate_all_quandles(4)
+            verify_paper()
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def _refuse_scan(*args):
