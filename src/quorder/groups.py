@@ -1,8 +1,10 @@
-"""Finite groups by Cayley table and permutation-group machinery.
+"""Finite groups by Cayley table, and permutation groups by closure.
 
 Elements are always the integers 0..n-1; the table entry at row i, column j
 is the product i*j. Permutations are index tuples p with p[x] the image of x,
-composed so that ``compose(p, q)`` applies q first.
+composed so that ``compose(p, q)`` applies q first. A `PermutationGroup` is
+its degree and its element set; `closure` builds the group that permutations
+generate, by breadth-first search, and it serves `quandles.inner_group`.
 
 A carrier has at most MAX_CARRIER_N = 256 points, so a point fits in a
 byte and a table row is a byte string (`byte_rows`). The three-variable
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .errors import NotAGroup, NotAnAutomorphism, NotAPermutation, ResourceLimit
 from .values import Value, cached_property
@@ -79,11 +81,6 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths))
-
-
-def perm_order(p: Perm) -> int:
-    """Order of a permutation: lcm of its cycle lengths."""
-    return math.lcm(*cycle_type(p))
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +206,6 @@ class FiniteGroup(Value):
     def inv(self, a: int) -> int:
         return self.inverses[a]
 
-    def element_order(self, a: int) -> int:
-        x = a
-        k = 1
-        while x != self.identity:
-            x = self.table[x][a]
-            k += 1
-        return k
-
 
 def cyclic_group(n: int) -> FiniteGroup:
     """Z_n with addition mod n and identity 0."""
@@ -274,12 +263,13 @@ class GroupAutomorphism(Value):
 def scaling_automorphism(g: FiniteGroup, alpha: int) -> GroupAutomorphism:
     """The map x -> x^alpha; multiplication by alpha on Z_n.
 
+    Every element's order divides |g|, so x^alpha = x^(alpha mod |g|).
     Validated on construction, so a non-unit alpha raises NotAnAutomorphism.
     """
     mapping = []
     for x in range(g.size):
         acc = g.identity
-        for _ in range(alpha % g.element_order(x)):
+        for _ in range(alpha % g.size):
             acc = g.mul(acc, x)
         mapping.append(acc)
     return GroupAutomorphism(g, tuple(mapping))
@@ -290,18 +280,13 @@ def scaling_automorphism(g: FiniteGroup, alpha: int) -> GroupAutomorphism:
 
 
 class PermutationGroup(Value):
-    """A set of permutations of {0..degree-1} closed under the group operations.
+    """A set of permutations of {0..degree-1} closed under the group operations."""
 
-    ``generators`` records the generators `closure` kept; it plays no part in
-    equality, which is by degree and element set.
-    """
+    _fields = ("degree", "elements")
 
-    _fields = ("degree", "elements", "generators")
-    _compared = ("degree", "elements")
-
-    def __init__(self, degree: int, elements: Iterable[Perm], generators: tuple[Perm, ...] = ()):
+    def __init__(self, degree: int, elements: Iterable[Perm]):
         elements = frozenset(tuple(p) for p in elements)
-        self.__dict__.update(degree=degree, elements=elements, generators=generators)
+        self.__dict__.update(degree=degree, elements=elements)
         for p in elements:
             if not is_permutation(p, degree):
                 raise NotAPermutation(p)
@@ -314,28 +299,23 @@ class PermutationGroup(Value):
 
 
 def closure(generators: Iterable[Perm], degree: int, max_size: int | None = 10000) -> PermutationGroup:
-    """Smallest permutation group containing the generators, by Dimino's method.
+    """Smallest permutation group containing the generators, by breadth-first
+    search.
 
     Every generator is validated first. The group H built so far starts as
     the identity; a generator already in H is skipped, and one that is not is
-    kept and H grows to <H, g> one right coset at a time. The coset H∘g comes
-    first; every new representative r is then multiplied by each kept
-    generator t, and r∘t, when it is not yet in the group, opens the next coset
-    H∘(r∘t). Cosets of H are equal or disjoint, so each new one adds |H| new
-    elements with no membership test. The union of the cosets holds the
-    identity and is closed under right multiplication by the kept generators,
-    so in a finite group it is the generated group, and the kept generators
-    alone generate it. The cost is about |G| + cosets × kept compositions,
-    against |G| × generators for plain breadth-first products (G. Butler,
-    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991, after
-    Dimino 1971).
+    kept. Every element of H, old or new, is then multiplied by each kept
+    generator until nothing new appears. The result holds the identity and is
+    closed under right multiplication by the kept generators, so in a finite
+    group it is the generated group.
 
     Only the generators are validated: every element is composed from them,
     so the group is built without the constructor's check of each element.
 
-    Elements are counted one at a time, so ResourceLimit is raised the moment
-    the group reaches max_size + 1 elements, with exactly that count as the
-    requested size. A group of max_size elements passes; None means no cap.
+    Elements are counted one at a time, the identity first, so ResourceLimit
+    is raised the moment the group reaches max_size + 1 elements, with exactly
+    that count as the requested size. A group of max_size elements passes;
+    None means no cap.
     """
     gens = []
     for g in generators:
@@ -344,56 +324,33 @@ def closure(generators: Iterable[Perm], degree: int, max_size: int | None = 1000
             raise NotAPermutation(g)
         gens.append(g)
     cap = math.inf if max_size is None else max_size
-    seen = {identity_perm(degree)}
+    elements = [identity_perm(degree)]
+    seen = set(elements)
+    if len(seen) > cap:
+        raise ResourceLimit("permutation closure", 1, max_size)
     kept: list[Perm] = []
-
-    def add_coset(subgroup: list[Perm], r: Perm) -> None:
-        for h in subgroup:
-            seen.add(compose(h, r))
-            if len(seen) > cap:
-                raise ResourceLimit("permutation closure", len(seen), max_size)
-
     for g in gens:
         if g in seen:
             continue
         kept.append(g)
-        subgroup = list(seen)
-        reps = [g]
-        add_coset(subgroup, g)
-        for r in reps:  # reps grows while it is scanned
+        for p in elements:  # elements grows while it is scanned
             for t in kept:
-                rt = compose(r, t)
-                if rt not in seen:
-                    reps.append(rt)
-                    add_coset(subgroup, rt)
+                pt = compose(p, t)
+                if pt not in seen:
+                    seen.add(pt)
+                    elements.append(pt)
+                    if len(seen) > cap:
+                        raise ResourceLimit("permutation closure", len(seen), max_size)
     group = object.__new__(PermutationGroup)
-    group.__dict__.update(degree=degree, elements=frozenset(seen), generators=tuple(kept))
+    group.__dict__.update(degree=degree, elements=frozenset(seen))
     return group
 
 
 def is_cyclic(g: PermutationGroup) -> bool:
-    """True iff a single element generates the whole group.
-
-    Two kept generators that do not commute make the group non-abelian, and
-    so not cyclic; otherwise some element must have order |g|.
-    """
-    if any(compose(a, b) != compose(b, a) for a, b in combinations(g.generators, 2)):
-        return False
-    return any(perm_order(p) == g.order for p in g.elements)
-
-
-def orbits(g: PermutationGroup) -> tuple[tuple[int, ...], ...]:
-    """Orbit partition of the points, each orbit sorted, ordered by minimum."""
-    remaining = set(range(g.degree))
-    out = []
-    while remaining:
-        start = min(remaining)
-        orbit = {p[start] for p in g.elements}
-        out.append(tuple(sorted(orbit)))
-        remaining -= orbit
-    return tuple(out)
+    """True iff some element has order |g|: the lcm of its cycle lengths."""
+    return any(math.lcm(*cycle_type(p)) == g.order for p in g.elements)
 
 
 def is_semiregular(g: PermutationGroup) -> bool:
-    """True iff every orbit has size exactly |g|."""
-    return all(len(orbit) == g.order for orbit in orbits(g))
+    """True iff every point's orbit has |g| points."""
+    return all(len({p[x] for p in g.elements}) == g.order for x in range(g.degree))

@@ -7,8 +7,9 @@ triples and has zero cocycle defect on every quadruple. This module checks
 that definition literally, triple by triple and quadruple by quadruple, so
 the structural membership tests of `quorder.corders` can be diffed against
 it. The table scans at the end are the reference for the validation of
-`FiniteQuandle` and `FiniteGroup`, and the all-pairs column search the
-reference for the one `generate_all_quandles` runs. It imports nothing
+`FiniteQuandle` and `FiniteGroup`, the all-pairs column search the
+reference for the one `generate_all_quandles` runs, and the orders and
+orbits at the end the reference for `quorder.groups`. It imports nothing
 from the package but `CyclicOrder`, the object under comparison;
 `test_definitional_oracle_is_independent` keeps it that way.
 """
@@ -357,3 +358,42 @@ def automorphism_count(table) -> int:
         all(table[p[i]][p[j]] == p[table[i][j]] for i in range(n) for j in range(n))
         for p in permutations(range(n))
     )
+
+
+# ---------------------------------------------------------------------------
+# permutation groups: a permutation p is a tuple with p[x] the image of x
+
+
+def perm_order(p: Sequence[int]) -> int:
+    """The least k >= 1 with p^k the identity, by applying p until every
+    point is back where it started."""
+    x = tuple(p)
+    k = 1
+    while any(x[i] != i for i in range(len(x))):
+        x = tuple(p[i] for i in x)
+        k += 1
+    return k
+
+
+def element_order(table, identity: int, a: int) -> int:
+    """The least k >= 1 with a^k the identity in the group of the table."""
+    x = a
+    k = 1
+    while x != identity:
+        x = table[x][a]
+        k += 1
+    return k
+
+
+def permutation_orbits(elements, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The orbits of the permutation group with these elements on
+    0..degree-1, each sorted, ordered by least point: the orbit of x is
+    every image p[x]."""
+    remaining = set(range(degree))
+    out = []
+    while remaining:
+        start = min(remaining)
+        orbit = {p[start] for p in elements}
+        out.append(tuple(sorted(orbit)))
+        remaining -= orbit
+    return tuple(out)

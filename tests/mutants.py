@@ -1,0 +1,204 @@
+"""Mutation checks: each mutant is one exact text edit to a file under src/,
+and the tests listed with it must fail once the edit is made.
+
+Run from anywhere, with the test dependencies installed:
+
+    python tests/mutants.py
+
+Every mutant gets a fresh temporary copy of src/ and tests/, with its edit
+made in the copy, and pytest runs only the mutant's listed tests there, with
+-x and a fixed Hypothesis seed, so a caught mutant stays caught; the mutant
+is caught when one of them fails. The listed
+tests are first run once on an unedited copy, where they must pass. The
+script prints one line per mutant and exits 1 if the unedited run fails, if
+a mutant's old text does not occur exactly once in its file, or if a mutant
+survives (its listed tests pass, or pytest ends for any reason other than a
+failing test).
+
+A change that mutates the code by hand and records which tests caught it
+adds a row here instead.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/quorder
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest ids relative to the repository root, one of which must fail
+
+
+GROUPS = "tests/test_groups.py"
+CLOSURE = f"{GROUPS}::TestClosure"
+
+MUTANTS = (
+    Mutant(
+        "closure: a newly kept generator is applied only to elements found after it (none are)",
+        "groups.py",
+        "for p in elements:  # elements grows while it is scanned",
+        "for p in elements[len(elements):]:",
+        (f"{CLOSURE}::test_two_reflections_generate_sym3", f"{CLOSURE}::test_matches_naive_fixpoint"),
+    ),
+    Mutant(
+        "closure: the cap is compared with >=",
+        "groups.py",
+        "                    if len(seen) > cap:",
+        "                    if len(seen) >= cap:",
+        (f"{CLOSURE}::test_resource_limit", f"{CLOSURE}::test_matches_naive_fixpoint"),
+    ),
+    Mutant(
+        "closure: the identity is not counted against the cap",
+        "groups.py",
+        '    if len(seen) > cap:\n        raise ResourceLimit("permutation closure", 1, max_size)\n',
+        "",
+        (f"{CLOSURE}::test_the_identity_counts_against_the_cap", f"{CLOSURE}::test_matches_naive_fixpoint"),
+    ),
+    Mutant(
+        "is_semiregular reads only point 0",
+        "groups.py",
+        "for x in range(g.degree))",
+        "for x in range(g.degree)[:1])",
+        (
+            f"{GROUPS}::TestIsSemiregular::test_fixed_point_breaks_semiregularity",
+            f"{GROUPS}::TestIsSemiregular::test_formulations_agree",
+        ),
+    ),
+    Mutant(
+        "is_cyclic compares an element's order with the degree",
+        "groups.py",
+        "== g.order for p in g.elements)",
+        "== g.degree for p in g.elements)",
+        (
+            f"{GROUPS}::TestIsCyclic::test_order_one",
+            f"{GROUPS}::TestIsCyclic::test_sym3_not_cyclic",
+            "tests/test_quandles.py::TestInnerGroup::test_dihedral_3_inner_group",
+        ),
+    ),
+    Mutant(
+        "survivors: a rotation test turned into equality",
+        "corders.py",
+        "    targets = form.targets\n",
+        "    targets = forms\n",
+        (
+            "tests/test_corders.py::TestRotationCharacterization::test_all_arrangements_up_to_4",
+            "tests/test_corders.py::test_brute_space_matches_definition_on_random_maps",
+        ),
+    ),
+    Mutant(
+        "survivors: the last map is skipped",
+        "corders.py",
+        "    for m in maps:\n",
+        "    for m in list(maps)[:-1]:\n",
+        (
+            "tests/test_corders.py::TestMembershipMatchesDefinition::test_invariance_on_every_arrangement_up_to_4",
+            "tests/test_cli.py::TestVerifyPaperChecks::test_all_named_checks_pass",
+        ),
+    ),
+    Mutant(
+        "survivors: no vacuous case for circles of at most two points",
+        "corders.py",
+        "    if form.circle and n <= 2:\n",
+        "    if False:\n",
+        (
+            "tests/test_corders.py::TestInvariance::test_vacuous_invariance_on_tiny_carriers",
+            "tests/test_search.py::TestDecisions::test_tiny_carriers_are_bicircular",
+        ),
+    ),
+    Mutant(
+        "_brute: a yes names the last member kept, not the first",
+        "search.py",
+        "witness=_orders(space.circle, found[:1])[0]",
+        "witness=_orders(space.circle, found[-1:])[0]",
+        ("tests/test_search.py::TestCertificates::test_brute_decision_agrees_with_brute_listing",),
+    ),
+    Mutant(
+        "_relabellings: the pairs in reverse permutations order",
+        "quandles.py",
+        "    perms = list(map(bytes, permutations(ident)))\n",
+        "    perms = list(map(bytes, permutations(ident)))[::-1]\n",
+        (
+            "tests/test_quandles.py::TestRelabellings::test_pairs_in_permutations_order",
+            "tests/test_quandles.py::TestRelabellings::test_tables_of_one_order_share_the_pairs",
+        ),
+    ),
+    Mutant(
+        "parse_input: a 1-indexed table is not renumbered",
+        "cli.py",
+        "    norm = [tuple(map(base.__rsub__, row)) for row in table] if base else table\n",
+        "    norm = table\n",
+        (
+            "tests/test_cli.py::TestParseInput::test_one_indexed_document",
+            "tests/test_cli.py::TestParseInput::test_group_document",
+        ),
+    ),
+    Mutant(
+        "parse_input: the type check skips the last row",
+        "cli.py",
+        "set(map(type, chain.from_iterable(table))) <= {int}",
+        "set(map(type, chain.from_iterable(table[:-1]))) <= {int}",
+        (
+            "tests/test_cli.py::TestParseInput::test_first_non_int_in_row_major_order",
+            "tests/test_cli.py::TestParseInput::test_malformed_documents",
+        ),
+    ),
+)
+
+
+def run_pytest(root: Path, tests: tuple[str, ...]) -> int:
+    """pytest's exit code for the tests, run in root on root/src."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
+    done = subprocess.run(
+        [*command, *tests], cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    )
+    return done.returncode
+
+
+def check(mutant: Mutant | None, tests: tuple[str, ...]) -> str | None:
+    """None when the run goes as it should: the listed tests pass on the
+    unedited source (mutant None), or fail on the mutant; else what went
+    wrong."""
+    with tempfile.TemporaryDirectory(prefix="quorder-mutant-") as tmp:
+        root = Path(tmp)
+        shutil.copytree(ROOT / "src", root / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", root / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", root)
+        if mutant is None:
+            code = run_pytest(root, tests)
+            return None if code == 0 else f"pytest exit {code} on the unedited source"
+        target = root / "src" / "quorder" / mutant.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return f"old text occurs {text.count(mutant.old)} times in {mutant.path}"
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        code = run_pytest(root, tests)
+        return None if code == 1 else f"not caught (pytest exit {code})"
+
+
+def main() -> int:
+    listed = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+    failures = 0
+    problem = check(None, listed)
+    print(f"unedited source: {problem or 'listed tests pass'}")
+    failures += problem is not None
+    for mutant in MUTANTS:
+        problem = check(mutant, mutant.tests)
+        print(f"{mutant.name}: {problem or 'killed'}")
+        failures += problem is not None
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
