@@ -7,9 +7,14 @@ every table built through it, and every quandle the package returns, is
 valid. One private path skips it: `search.generate_all_quandles` wraps the
 tables its column search finds without a check, only to compare their
 canonical forms, and builds each class it returns through the constructor.
-A carrier has at most `groups.MAX_CARRIER_N` = 256 points, one byte each,
-and right-distributivity is checked in C, one column at a time
-(`groups.first_failure`), which also names the first failing triple.
+A carrier has at most `groups.MAX_CARRIER_N` = 256 points, one byte each.
+Right-distributivity is checked in C, one column at a time, and only on the
+columns that the columns checked before them do not reach
+(`groups.first_failure`): column c holds exactly when R_c, a permutation
+by then, is an automorphism, and R_(x*s) = R_s R_x R_s^-1, so the columns
+that hold are closed under the operation. At most two columns decide a
+dihedral quandle, and a trivial one needs all n. A failure names the first
+failing triple.
 
 A quandle keeps its translation maps as fields (`rows`, the table, and
 `columns`, its transpose) and computes two facts about them once, on first
@@ -65,9 +70,9 @@ class FiniteQuandle(Value):
     axiom that fails and its first witness: a row, then an entry (i, j) that
     is not an int (bools are ints) in 0..n-1, in row-major order; a diagonal
     entry; a column; a triple (a, b, c) in lexicographic order. The entries
-    and the triples are checked as a whole in C (`groups.byte_rows`,
-    `groups.first_failure`); only a failed entry check scans the rows for
-    its witness.
+    and the triples are checked in C (`groups.byte_rows`, and
+    `groups.first_failure` on a set of columns that generates the
+    quandle); only a failed entry check scans the rows for its witness.
     """
 
     _fields = ("table", "name")

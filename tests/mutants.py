@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 GROUPS = "tests/test_groups.py"
 CLOSURE = f"{GROUPS}::TestClosure"
+QUANDLES = "tests/test_quandles.py"
 
 MUTANTS = (
     Mutant(
@@ -85,6 +86,34 @@ MUTANTS = (
             f"{GROUPS}::TestIsCyclic::test_sym3_not_cyclic",
             "tests/test_quandles.py::TestInnerGroup::test_dihedral_3_inner_group",
         ),
+    ),
+    Mutant(
+        "first_failure: the cover propagates a new column's point through columns not checked",
+        "groups.py",
+        "(seen.translate(m) + checked.translate(maps[c]))",
+        "(seen.translate(m) + maps[c][:n])",
+        (
+            f"{QUANDLES}::TestColumnCover::test_points_are_reached_only_through_columns_checked",
+            f"{QUANDLES}::TestValidationOracle::test_every_table_with_idempotent_bijective_columns_up_to_order_4",
+        ),
+    ),
+    Mutant(
+        "first_failure: a failing column names its own first triple, without the rescan",
+        "groups.py",
+        "    for c in range(start, n):\n",
+        "    for c in range(start, start + 1):\n",
+        (
+            f"{QUANDLES}::TestColumnCover::test_points_are_reached_only_through_columns_checked",
+            f"{QUANDLES}::TestValidationOracle::test_largest_carrier_names_its_first_failing_triple",
+            f"{GROUPS}::TestColumnCover::test_loop_associative_on_column_1_is_rejected",
+        ),
+    ),
+    Mutant(
+        "first_failure: the cover declares the carrier reached one point early",
+        "groups.py",
+        "        if len(seen) == n:\n",
+        "        if len(seen) >= n - 1:\n",
+        (f"{QUANDLES}::TestColumnCover::test_the_last_point_is_checked",),
     ),
     Mutant(
         "survivors: a rotation test turned into equality",

@@ -125,6 +125,44 @@ def reduced_latin_squares(n):
     return list(fill(0))
 
 
+# 6-element loop (identity 0) that is associative on column 1, (ab)1 =
+# a(b1) for all a and b, but not a group: 1*1 = 0, so columns 0 and 1 reach
+# only each other, and column 2, checked next, first fails at (4, 2, 2),
+# after the loop's first failing triple (2, 2, 4)
+LOOP_6 = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 2, 5, 4],
+    [2, 3, 4, 5, 0, 1],
+    [3, 2, 5, 4, 1, 0],
+    [4, 5, 0, 1, 3, 2],
+    [5, 4, 1, 0, 2, 3],
+]
+
+
+class TestColumnCover:
+    """Associativity is checked only on the columns that the columns checked
+    before them do not generate (Light's test)."""
+
+    @pytest.mark.parametrize(
+        "build, count", [(lambda: cyclic_group(256), 2), (lambda: symmetric_group(5), 5)], ids=["Z256", "S5"]
+    )
+    def test_groups_are_accepted_on_a_cover(self, monkeypatch, build, count):
+        g = build()
+        columns = []
+        side = groups._associative_side
+        monkeypatch.setattr(groups, "_associative_side", lambda col, maps: columns.append(col) or side(col, maps))
+        FiniteGroup(g.table, g.identity)
+        assert len(columns) == count
+
+    def test_loop_associative_on_column_1_is_rejected(self):
+        n = len(LOOP_6)
+        assert all(LOOP_6[LOOP_6[a][b]][1] == LOOP_6[a][LOOP_6[b][1]] for a in range(n) for b in range(n))
+        assert first_group_violation(LOOP_6, 0) == ("associativity fails", (2, 2, 4))
+        with pytest.raises(NotAGroup) as exc:
+            FiniteGroup(LOOP_6, identity=0)
+        assert (exc.value.reason, exc.value.witness) == ("associativity fails", (2, 2, 4))
+
+
 class TestValidationOracle:
     """The byte-table check against the definitional triple scan."""
 

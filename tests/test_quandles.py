@@ -131,6 +131,20 @@ def relabelled_or_transposed(draw, tables):
 
 ORDER_5_CLASSES = [q.table for n in range(1, 6) for q in generate_all_quandles(n, up_to_iso=True)]
 DIHEDRAL_36 = [quandle_from_builtin("dihedral:36").table]
+COVERED = [quandle_from_builtin(spec).table for spec in ("conj:s4", "product:dihedral:3+dihedral:5")]
+
+
+@st.composite
+def transposed_outside_cover(draw, tables):
+    """One of the tables, unrelabelled, with two off-diagonal entries of
+    one column c >= 2 swapped: columns 0 and 1, which are checked first,
+    and the diagonal are unchanged, and every column stays a permutation."""
+    table = [list(row) for row in draw(st.sampled_from(tables))]
+    n = len(table)
+    c = draw(st.integers(2, n - 1))
+    i, j = draw(st.lists(st.integers(0, n - 1).filter(lambda x: x != c), min_size=2, max_size=2, unique=True))
+    table[i][c], table[j][c] = table[j][c], table[i][c]
+    return table
 
 
 class TestValidationOracle:
@@ -172,9 +186,15 @@ class TestValidationOracle:
         # ragged rows and out-of-range entries reach the row-major scan
         assert_validates_like_scan(table)
 
+    @settings(max_examples=60, deadline=None)
+    @given(transposed_outside_cover(COVERED))
+    def test_transposition_outside_the_first_columns(self, table):
+        assert_validates_like_scan(table)
+
     def test_largest_carrier_names_its_first_failing_triple(self):
-        # dihedral:256 with 0*2 and 1*2 swapped: every column's byte
-        # comparison fails, and the least first failure over them is named
+        # dihedral:256 with 0*2 and 1*2 swapped: column 0, the first one
+        # checked, first fails at (0, 2, 0); every column's byte comparison
+        # fails, and the least first failure over them is named
         n = MAX_CARRIER_N
         table = [[(2 * j - i) % n for j in range(n)] for i in range(n)]
         table[0][2], table[1][2] = table[1][2], table[0][2]
@@ -182,6 +202,47 @@ class TestValidationOracle:
             FiniteQuandle(table)
         assert (exc.value.axiom, exc.value.witness) == ("right-distributivity", (0, 1, 2))
         assert first_quandle_violation(table) == ("right-distributivity", (0, 1, 2))
+
+
+class TestColumnCover:
+    """Right-distributivity is checked only on the columns that the columns
+    checked before them do not reach; the rest hold with them."""
+
+    @pytest.mark.parametrize(
+        "spec, count",
+        # R_0 fixes 0, so column 1 is checked too; 0 and 1 generate Z_n
+        # under x*y = 2y - x. A trivial quandle's columns reach nothing.
+        [("dihedral:256", 2), ("dihedral:101", 2), ("trivial:8", 8), ("conj:s4", 7), ("core:s4", 5)],
+    )
+    def test_columns_checked(self, monkeypatch, spec, count):
+        table = quandle_from_builtin(spec).table
+        columns = []
+        side = quandles._distributive_side
+        monkeypatch.setattr(quandles, "_distributive_side", lambda col, maps: columns.append(col) or side(col, maps))
+        FiniteQuandle(table)
+        assert len(columns) == count
+        if spec.startswith("dihedral"):
+            assert columns == [bytes(row[c] for row in table) for c in (0, 1)]
+
+    def test_points_are_reached_only_through_columns_checked(self):
+        # column 0 is the identity and holds; row 0 reaches 1 and 2 through
+        # columns 1 and 2, which are not checked yet. Column 1, checked
+        # next, first fails at (0, 2, 1), after column 2's (0, 1, 2)
+        table = [[0, 2, 1], [1, 1, 0], [2, 0, 2]]
+        assert first_quandle_violation(table) == ("right-distributivity", (0, 1, 2))
+        with pytest.raises(NotAQuandle) as exc:
+            FiniteQuandle(table)
+        assert exc.value.witness == (0, 1, 2)
+
+    def test_the_last_point_is_checked(self):
+        # columns 0-3 are a quandle on {0, 1, 2, 3} that they reach, and fix
+        # 4; R_4 swaps 0 and 1, which commutes with them but is no
+        # automorphism: 4 points of 5 are reached and the fifth column fails
+        table = [[0, 0, 0, 0, 1], [1, 1, 1, 1, 0], [2, 3, 2, 2, 2], [3, 2, 3, 3, 3], [4, 4, 4, 4, 4]]
+        assert first_quandle_violation(table) == ("right-distributivity", (2, 0, 4))
+        with pytest.raises(NotAQuandle) as exc:
+            FiniteQuandle(table)
+        assert exc.value.witness == (2, 0, 4)
 
 
 class TestRelabellings:
