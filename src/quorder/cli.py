@@ -174,6 +174,10 @@ def quandle_from_builtin(spec: str) -> FiniteQuandle:
             return product_quandle([quandle_from_builtin(part) for part in rest.split("+")])
     except ValueError as exc:
         raise ParseError(f"bad builtin spec {spec!r}: {exc}") from None
+    except RecursionError:
+        # each product: of a product: is one more call; the message names no
+        # spec, since which call runs out of stack depends on the caller's depth
+        raise ParseError("bad builtin spec: products nested past the recursion limit") from None
     raise ParseError(f"unknown builtin family {head!r}")
 
 

@@ -59,15 +59,6 @@ class CyclicOrder(Value):
         # attribute reads are faster than from a materialised __dict__
         object.__setattr__(self, "arrangement", arrangement)
 
-    # hashed and compared in the enumeration loops, so written out
-    def __eq__(self, other):
-        if other.__class__ is CyclicOrder:
-            return self.arrangement == other.arrangement
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.arrangement,))
-
     @classmethod
     def from_cycle(cls, seq: Sequence[int]) -> "CyclicOrder":
         """Canonicalize an arbitrary rotation by starting the cycle at 0."""
@@ -107,14 +98,6 @@ class LinearOrder(Value):
         if sorted(ranking) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {ranking}")
         object.__setattr__(self, "ranking", ranking)
-
-    def __eq__(self, other):
-        if other.__class__ is LinearOrder:
-            return self.ranking == other.ranking
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ranking,))
 
     @property
     def size(self) -> int:

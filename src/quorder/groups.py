@@ -24,9 +24,12 @@ every column is good:
   holds on x and on s, then (ab)(xs) = ((ab)x)s = (a(bx))s = a((bx)s) =
   a(b(xs)), so it holds on xs: Light's associativity test (A. H. Clifford
   and G. B. Preston, The Algebraic Theory of Semigroups I, 1961, §1.2).
-A cyclic group's table and a dihedral quandle are decided on at most two
-columns, so the check costs O(|S|·n^2) for a cover S, not O(n^3); a
-trivial quandle, whose columns reach nothing, still needs all n.
+A column c that is the identity map is good for both, (a*b)*c = a*b =
+(a*c)*(b*c) and (ab)c = ab = a(bc), so it joins the cover without a
+comparison. A cyclic group's table and a dihedral quandle are decided on
+at most two columns, so the check costs O(|S|·n^2) for a cover S, not
+O(n^3); a trivial quandle, whose columns are all identity maps, is
+decided on none.
 """
 
 from __future__ import annotations
@@ -142,15 +145,17 @@ def first_failure(rows: tuple[bytes, ...], right_side) -> tuple[int, int, int] |
     right-distributivity (module docstring). The columns are then walked
     in order, and a column is checked only if the columns checked so far
     do not reach it: the points reached are closed under x -> x*s for every
-    checked s, one `bytes.translate` per step. None is returned once every
-    point is reached. At the first column c that fails, every column before
-    it holds, so the columns from c on are compared in full
+    checked s, one `bytes.translate` per step. A column that is the
+    identity map satisfies both axioms and is checked without a comparison.
+    None is returned once every point is reached. At the first column c that fails, every
+    column before it holds, so the columns from c on are compared in full
     (`_first_triple`) and the first failing triple is named.
     """
     n = len(rows)
     pad = bytes(256 - n)
     flat = b"".join(rows)
     maps = [row + pad for row in rows]
+    ident = bytes(range(n))
     checked = bytearray()  # the columns checked, all of which hold
     seen = bytearray()  # the points they reach, whose columns hold too
     for c in range(n):
@@ -158,7 +163,7 @@ def first_failure(rows: tuple[bytes, ...], right_side) -> tuple[int, int, int] |
             continue
         col = flat[c::n]
         m = col + pad
-        if flat.translate(m) != right_side(col, maps):
+        if col != ident and flat.translate(m) != right_side(col, maps):
             return _first_triple(flat, maps, right_side, c)
         checked.append(c)
         seen.append(c)

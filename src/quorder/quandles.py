@@ -12,9 +12,9 @@ Right-distributivity is checked in C, one column at a time, and only on the
 columns that the columns checked before them do not reach
 (`groups.first_failure`): column c holds exactly when R_c, a permutation
 by then, is an automorphism, and R_(x*s) = R_s R_x R_s^-1, so the columns
-that hold are closed under the operation. At most two columns decide a
-dihedral quandle, and a trivial one needs all n. A failure names the first
-failing triple.
+that hold are closed under the operation. A column that is the identity
+map holds without a comparison. At most two columns decide a dihedral
+quandle, and none a trivial one. A failure names the first failing triple.
 
 A quandle keeps its translation maps as fields (`rows`, the table, and
 `columns`, its transpose) and computes two facts about them once, on first

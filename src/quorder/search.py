@@ -41,11 +41,17 @@ relabelling search: the canonical form, the least of a table's n!
 relabellings, computed once per quandle by one C-level `min`
 (`FiniteQuandle.canonical_table`). Two quandles are isomorphic exactly
 when their forms are equal, and each class is reported as its form.
+
+`DECIDERS` and `ENUMERATORS` hold, per CLI property, `decide` and
+`enumerate_space` with a row's kind bound by `functools.partial`; the ten
+per-space names (`decide_right_circular` ... `enumerate_left_orderings`)
+are those same objects, with no body of their own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
+from functools import partial
 from itertools import chain, permutations
 from operator import attrgetter
 
@@ -451,62 +457,16 @@ def decide(
     return verdict
 
 
-def enumerate_rco(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
-    return enumerate_space("RCO", q, caps)
-
-
-def enumerate_lco(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
-    return enumerate_space("LCO", q, caps)
-
-
-def enumerate_bicircular(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
-    return enumerate_space("BCO", q, caps)
-
-
-def enumerate_right_orderings(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
-    return enumerate_space("RO", q, caps)
-
-
-def enumerate_left_orderings(q: FiniteQuandle, caps: SearchCaps = DEFAULT_CAPS) -> OrderSpace:
-    return enumerate_space("LO", q, caps)
-
-
-def decide_right_circular(q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS) -> Verdict:
-    return decide("RCO", q, strategy, caps)
-
-
-def decide_left_circular(q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS) -> Verdict:
-    return decide("LCO", q, strategy, caps)
-
-
-def decide_bicircular(q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS) -> Verdict:
-    return decide("BCO", q, strategy, caps)
-
-
-def decide_right_orderable(q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS) -> Verdict:
-    return decide("RO", q, strategy, caps)
-
-
-def decide_left_orderable(q: FiniteQuandle, strategy: str = "auto", caps: SearchCaps = DEFAULT_CAPS) -> Verdict:
-    return decide("LO", q, strategy, caps)
-
-
-# By CLI property. The CLI dispatches through both dicts and the census
-# through DECIDERS, so rebinding a decider reaches both.
-DECIDERS = {
-    "right-circular": decide_right_circular,
-    "left-circular": decide_left_circular,
-    "bi-circular": decide_bicircular,
-    "right-order": decide_right_orderable,
-    "left-order": decide_left_orderable,
-}
-ENUMERATORS = {
-    "right-circular": enumerate_rco,
-    "left-circular": enumerate_lco,
-    "bi-circular": enumerate_bicircular,
-    "right-order": enumerate_right_orderings,
-    "left-order": enumerate_left_orderings,
-}
+# By CLI property, `decide` / `enumerate_space` with each row's kind bound. The
+# CLI and the census dispatch through these, so rebinding an entry reaches both.
+DECIDERS = {space.prop: partial(decide, kind) for kind, space in SPACES.items()}
+ENUMERATORS = {space.prop: partial(enumerate_space, kind) for kind, space in SPACES.items()}
+# the per-space names, each its dict entry: perfbench/tracing.py wraps them by
+# name and swaps the entries by identity; they can go once it no longer does
+(decide_right_circular, decide_left_circular, decide_bicircular,
+ decide_right_orderable, decide_left_orderable) = DECIDERS.values()
+(enumerate_rco, enumerate_lco, enumerate_bicircular,
+ enumerate_right_orderings, enumerate_left_orderings) = ENUMERATORS.values()
 
 
 def _points(q: FiniteQuandle, values) -> bool:

@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 GROUPS = "tests/test_groups.py"
 CLOSURE = f"{GROUPS}::TestClosure"
 QUANDLES = "tests/test_quandles.py"
+SEARCH = "tests/test_search.py"
 
 MUTANTS = (
     Mutant(
@@ -116,6 +117,16 @@ MUTANTS = (
         (f"{QUANDLES}::TestColumnCover::test_the_last_point_is_checked",),
     ),
     Mutant(
+        "first_failure: every column whose first entry is 0 holds uncompared, not only the identity",
+        "groups.py",
+        "        if col != ident and flat.translate(m) != right_side(col, maps):\n",
+        "        if col[0] != 0 and flat.translate(m) != right_side(col, maps):\n",
+        (
+            f"{QUANDLES}::TestColumnCover::test_columns_checked",
+            f"{QUANDLES}::TestValidationOracle::test_every_table_with_idempotent_bijective_columns_up_to_order_4",
+        ),
+    ),
+    Mutant(
         "survivors: a rotation test turned into equality",
         "corders.py",
         "    targets = form.targets\n",
@@ -151,6 +162,26 @@ MUTANTS = (
         "witness=_orders(space.circle, found[:1])[0]",
         "witness=_orders(space.circle, found[-1:])[0]",
         ("tests/test_search.py::TestCertificates::test_brute_decision_agrees_with_brute_listing",),
+    ),
+    Mutant(
+        "dispatch: two per-space names swapped in their binding",
+        "search.py",
+        "(decide_right_circular, decide_left_circular, decide_bicircular,",
+        "(decide_left_circular, decide_right_circular, decide_bicircular,",
+        (
+            f"{SEARCH}::TestDispatchTables::test_names_are_their_entries",
+            f"{SEARCH}::TestDecisions::test_trivial_3",
+        ),
+    ),
+    Mutant(
+        "dispatch: ENUMERATORS built on the brute tier, which gives the same spaces",
+        "search.py",
+        "partial(enumerate_space, kind)",
+        "partial(brute_space, kind)",
+        (
+            f"{SEARCH}::TestDispatchTables::test_entries_bind_the_kind",
+            "tests/test_cli.py::TestMain::test_caps_bound_output_not_work",
+        ),
     ),
     Mutant(
         "_relabellings: the pairs in reverse permutations order",

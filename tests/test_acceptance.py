@@ -163,7 +163,7 @@ def test_criterion_08_fast_decisions_equal_brute_force_up_to_order_5():
                 for decide, kind in deciders.items():
                     fast = decide(q, strategy="fast")
                     brute = decide(q, strategy="brute")
-                    assert fast.answer == brute.answer, (n, q.table, decide.__name__)
+                    assert fast.answer == brute.answer, (n, q.table, kind)
                     if fast.answer:
                         check = {
                             decide_right_circular: is_right_invariant,

@@ -278,6 +278,25 @@ class TestRun:
         assert error["kind"] == "ParseError"
         assert "recursion" in error["detail"]
 
+    def test_over_nested_builtin_spec_exit_code(self, capsys):
+        # each product: is one more call, so this runs out of stack
+        spec = "product:" * 5000 + "trivial:2"
+        status = main(["check", "--builtin", spec, "--property", "right-circular"])
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert status == 2
+        assert error["kind"] == "ParseError"
+        assert "recursion" in error["detail"]
+
+    def test_nested_builtin_spec_within_the_stack_is_decided(self):
+        report, status = _run("check", "--builtin", "product:" * 300 + "trivial:2", "--property", "right-circular")
+        assert status == 0
+        assert report == {
+            "command": "check",
+            "property": "right-circular",
+            "input": {"kind": "quandle", "index_base": 0, "table": [[0, 0], [1, 1]]},
+            "verdict": {"answer": "yes", "witness": {"arrangement": [0, 1]}, "certificate": None},
+        }
+
     @pytest.mark.parametrize("name", [{"x": [1, 2.5, None]}, None, 7, ["a"]])
     def test_name_must_be_a_string(self, name, tmp_path, capsys):
         doc = tmp_path / "named.json"

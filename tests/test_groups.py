@@ -144,7 +144,8 @@ class TestColumnCover:
     before them do not generate (Light's test)."""
 
     @pytest.mark.parametrize(
-        "build, count", [(lambda: cyclic_group(256), 2), (lambda: symmetric_group(5), 5)], ids=["Z256", "S5"]
+        # the identity's column is an identity map, which holds uncompared
+        "build, count", [(lambda: cyclic_group(256), 1), (lambda: symmetric_group(5), 4)], ids=["Z256", "S5"]
     )
     def test_groups_are_accepted_on_a_cover(self, monkeypatch, build, count):
         g = build()

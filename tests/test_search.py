@@ -179,6 +179,53 @@ class TestEnumerateSpaces:
         assert enumerate_space(kind, q, SearchCaps(1, 1)) == search.OrderSpace(kind, ())
 
 
+# the per-space names, by the kind each one binds
+NAMED = {
+    "RCO": (decide_right_circular, enumerate_rco),
+    "LCO": (decide_left_circular, enumerate_lco),
+    "BCO": (decide_bicircular, enumerate_bicircular),
+    "RO": (decide_right_orderable, enumerate_right_orderings),
+    "LO": (decide_left_orderable, enumerate_left_orderings),
+}
+
+
+class TestDispatchTables:
+    """DECIDERS and ENUMERATORS hold `decide` and `enumerate_space` with each
+    row's kind bound, and each per-space name is its entry, the very object:
+    the benchmark's tracer swaps the entries by identity."""
+
+    @pytest.mark.parametrize("kind", SPACES)
+    def test_entries_bind_the_kind(self, kind):
+        prop = SPACES[kind].prop
+        for table, func in ((search.DECIDERS, decide), (search.ENUMERATORS, enumerate_space)):
+            entry = table[prop]
+            assert (entry.func, entry.args, entry.keywords) == (func, (kind,), {})
+
+    @pytest.mark.parametrize("kind", SPACES)
+    def test_names_are_their_entries(self, kind):
+        prop = SPACES[kind].prop
+        decider, enumerator = NAMED[kind]
+        assert decider is search.DECIDERS[prop]
+        assert enumerator is search.ENUMERATORS[prop]
+
+    def test_positional_and_keyword_calls(self):
+        q, caps = trivial_quandle(3), SearchCaps(3, 3)
+        witness = CyclicOrder((0, 1, 2))
+        assert decide_right_circular(q, "fast", caps).witness == witness
+        assert decide_right_circular(q, strategy="fast").witness == witness
+        assert decide_right_circular(q, "brute", caps=caps).witness == witness
+        assert enumerate_rco(q, caps) == enumerate_space("RCO", q, caps)
+        assert len(enumerate_right_orderings(q, caps=caps)) == 6
+        # the caps reach the ground set, passed either way
+        small = SearchCaps(2, 2)
+        with pytest.raises(ResourceLimit):
+            enumerate_rco(q, small)
+        with pytest.raises(ResourceLimit):
+            decide_right_orderable(q, "brute", small)
+        with pytest.raises(ResourceLimit):
+            decide_right_orderable(q, strategy="brute", caps=small)
+
+
 class TestDecisions:
     def test_trivial_3(self):
         vr = decide_right_circular(trivial_quandle(3))
@@ -1065,16 +1112,10 @@ class TestOracleEquivalence:
     def test_fast_equals_brute_up_to_4(self, labeled_catalog):
         for n, quandles in labeled_catalog.items():
             for q in quandles:
-                for decide in (
-                    decide_right_circular,
-                    decide_left_circular,
-                    decide_bicircular,
-                    decide_right_orderable,
-                    decide_left_orderable,
-                ):
-                    fast = decide(q, strategy="fast")
-                    brute = decide(q, strategy="brute")
-                    assert fast.answer == brute.answer, (n, q.table, decide.__name__)
+                for kind, (decider, _) in NAMED.items():
+                    fast = decider(q, strategy="fast")
+                    brute = decider(q, strategy="brute")
+                    assert fast.answer == brute.answer, (n, q.table, kind)
 
     def test_bicircular_fast_equals_brute_on_order_5_classes(self, class_catalog):
         for q in class_catalog[5]:
