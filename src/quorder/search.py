@@ -17,8 +17,8 @@ first non-injective left translation, else L_0, which moves 1. Both facts
 are computed once per quandle and kept (`FiniteQuandle.first_moved` and
 `first_merged`), so the five fast paths, and `is_trivial_quandle` and
 `is_latin`, read them instead of scanning the translations again. A fast
-verdict builds its witness or certificate from them only when it is first
-read (`Verdict`).
+verdict builds its evidence when first read (`Verdict`): the identity
+arrangement or ranking for a yes, its side's certificate for a no.
 
 By the same lemma a finite order space is either its whole ground set of
 arrangements or rankings or empty, so `enumerate_space` is a closed form:
@@ -125,10 +125,10 @@ class Verdict(Value):
     """Decision result: a witness when yes, a certificate when no.
 
     `Verdict(answer, witness=..., certificate=...)` sets the evidence at once.
-    The fast path's verdicts (`_lazy_verdict`) hold the answer and the recipe
-    for their evidence, and build the witness or the certificate on first
-    read (`values.cached_property`), so a caller that reads only `.answer`,
-    as `census` does, builds neither. Equality, hashing and repr read the
+    The fast path's verdicts (`_lazy_verdict`) build their evidence on first
+    read (`values.cached_property`), the identity order for a yes and their
+    side's certificate for a no, so a caller that reads only `.answer`, as
+    `census` does, builds neither. Equality, hashing and repr read the
     fields, so a lazy verdict compares, hashes and prints as the eager one
     with the same evidence does.
     """
@@ -152,22 +152,20 @@ class Verdict(Value):
 
     @cached_property
     def witness(self) -> CyclicOrder | LinearOrder | None:
-        return self._evidence() if self.answer else None
+        _, q, circle = self._recipe
+        return _identity_order(q.size, circle) if self.answer else None
 
     @cached_property
     def certificate(self) -> Certificate | None:
-        return None if self.answer else self._evidence()
-
-    def _evidence(self):
-        build, q, circle = self._recipe
-        return build(q, circle)
+        certify, q, circle = self._recipe
+        return None if self.answer else certify(q, circle)
 
 
-def _lazy_verdict(answer: bool, build, q: FiniteQuandle, circle: bool) -> Verdict:
-    """A verdict whose evidence, the witness of a yes or the certificate of a
-    no, is build(q, circle), built when first read."""
+def _lazy_verdict(answer: bool, certify, q: FiniteQuandle, circle: bool) -> Verdict:
+    """A verdict whose witness (a yes) is the identity order of q's points
+    and whose certificate (a no) is certify(q, circle), built when read."""
     verdict = object.__new__(Verdict)
-    verdict.__dict__.update(answer=answer, _recipe=(build, q, circle))
+    verdict.__dict__.update(answer=answer, _recipe=(certify, q, circle))
     return verdict
 
 
@@ -269,34 +267,18 @@ def _identity_order(n: int, circle: bool) -> CyclicOrder | LinearOrder:
     return (CyclicOrder if circle else LinearOrder)(tuple(range(n)))
 
 
-def _first_non_injective_left(q: FiniteQuandle) -> Certificate | None:
-    merged = q.first_merged
-    if merged is None:
-        return None
-    s, t1, t2, image = merged
-    return Certificate(
-        NON_INJECTIVE_LEFT,
-        {"base": s, "pair": [t1, t2], "image": image},
-        f"left translation by {s} sends both {t1} and {t2} to {image}",
-    )
-
-
 def _fast_right(q: FiniteQuandle, circle: bool) -> Verdict:
     """RCO (circle) or RO: R_s fixes s, so a right translation that preserves
     the order is the identity, and only trivial quandles qualify. Every
     quandle on at most two points is trivial, so the circle needs no n <= 2
-    case. The evidence is built on first read (`_right_evidence`)."""
-    return _lazy_verdict(q.first_moved is None, _right_evidence, q, circle)
+    case."""
+    return _lazy_verdict(q.first_moved is None, _right_certificate, q, circle)
 
 
-def _right_evidence(q: FiniteQuandle, circle: bool) -> CyclicOrder | LinearOrder | Certificate:
-    """The identity order for `_fast_right`'s yes; for its no, a certificate
-    naming the first right translation that moves a point
+def _right_certificate(q: FiniteQuandle, circle: bool) -> Certificate:
+    """`_fast_right`'s no: the first right translation that moves a point
     (`FiniteQuandle.first_moved`)."""
-    moved = q.first_moved
-    if moved is None:
-        return _identity_order(q.size, circle)
-    s, t, image = moved
+    s, t, image = q.first_moved
     why = _CIRCLE if circle else "a strictly increasing bijection of a finite chain is the identity"
     return Certificate(
         NON_IDENTITY_RIGHT,
@@ -307,29 +289,29 @@ def _right_evidence(q: FiniteQuandle, circle: bool) -> CyclicOrder | LinearOrder
 
 def _fast_left(q: FiniteQuandle, circle: bool) -> Verdict:
     """LCO and BCO (circle) or LO: no left translation is the identity, so
-    beyond two points (the circle) or one point (the chain) the answer is no.
-    The evidence is built on first read (`_left_evidence`)."""
-    return _lazy_verdict(q.size <= (2 if circle else 1), _left_evidence, q, circle)
+    beyond two points (the circle) or one point (the chain) the answer is no."""
+    return _lazy_verdict(q.size <= (2 if circle else 1), _left_certificate, q, circle)
 
 
-def _left_evidence(q: FiniteQuandle, circle: bool) -> CyclicOrder | LinearOrder | Certificate:
-    """The identity order for `_fast_left`'s yes; for its no, a certificate
-    naming the first non-injective left translation
+def _left_certificate(q: FiniteQuandle, circle: bool) -> Certificate:
+    """`_fast_left`'s no: the first non-injective left translation
     (`FiniteQuandle.first_merged`), else L_0, which fixes 0 and moves 1."""
-    n = q.size
-    if n <= (2 if circle else 1):
-        return _identity_order(n, circle)
-    cert = _first_non_injective_left(q)
-    if cert is None:
-        # in a quandle s*t = t forces s = t, so row 0 moves the point 1
-        image = q.op(0, 1)
-        why = _CIRCLE if circle else "a strictly increasing self-map of a finite chain is the identity"
-        cert = Certificate(
-            NON_IDENTITY_LEFT,
-            {"base": 0, "point": 1, "image": image},
-            f"left translation by 0 moves 1 to {image}; {why}",
+    merged = q.first_merged
+    if merged is not None:
+        s, t1, t2, image = merged
+        return Certificate(
+            NON_INJECTIVE_LEFT,
+            {"base": s, "pair": [t1, t2], "image": image},
+            f"left translation by {s} sends both {t1} and {t2} to {image}",
         )
-    return cert
+    # in a quandle s*t = t forces s = t, so row 0 moves the point 1
+    image = q.op(0, 1)
+    why = _CIRCLE if circle else "a strictly increasing self-map of a finite chain is the identity"
+    return Certificate(
+        NON_IDENTITY_LEFT,
+        {"base": 0, "point": 1, "image": image},
+        f"left translation by 0 moves 1 to {image}; {why}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -790,16 +772,17 @@ def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
     canonical (lexicographically least) table, numbered in that order, so
     reports are stable under relabeling. The space sizes record how large
     the five finite spaces actually come out, not just whether they are
-    empty. Each order's ground sets (the arrangements and the rankings) are
-    built once, after its classes are generated, as byte forms straight
-    from `itertools.permutations` (`ground_form`), and shared by every
-    class; no CyclicOrder or LinearOrder is built for them. Each one-sided
-    space (RCO, LCO, RO, LO) is scanned once per class: its size is the
-    brute tier's filter of the ground set (the byte kernel
-    `corders.survivors`, which `brute_space` runs too). BCO is RCO ∩ LCO by
-    definition, so its members are the arrangements both of those filters
-    kept, intersected only when neither is empty, and no arrangement is
-    tested for it again. Every space's flag is the fast path's answer,
+    empty. Every order's ground sets (the arrangements and the rankings)
+    are built once, as byte forms straight from `itertools.permutations`
+    (`ground_form`), lowest order first and before any class is generated,
+    so an order over the caps is refused before any work; each is shared by
+    every class of its order, and no CyclicOrder or LinearOrder is built for
+    them. Each one-sided space (RCO, LCO, RO, LO) is scanned once per
+    class: its size is the brute tier's filter of the ground set (the byte
+    kernel `corders.survivors`, which `brute_space` runs too). BCO is
+    RCO ∩ LCO by definition, so its members are the arrangements both of
+    those filters kept, intersected only when neither is empty, and no
+    arrangement is tested for it again. Every space's flag is the fast path's answer,
     through DECIDERS, diffed against its size on every class; census reads
     only the answers, so no witness or certificate is built. The spaces'
     maps, deciders and record keys are read once per call, each record is
@@ -814,11 +797,10 @@ def census(max_n: int, caps: SearchCaps = DEFAULT_CAPS) -> list[dict]:
     rco, lco, ro, lo = (SPACES[kind] for kind in ("RCO", "LCO", "RO", "LO"))
     checks = [(kind, DECIDERS[space.prop], space.flag) for kind, space in SPACES.items()]
     size_keys = [f"{kind.lower()}_size" for kind in SPACES]
+    grounds = [(ground_form(n, True, caps), ground_form(n, False, caps)) for n in range(1, max_n + 1)]
     records = []
-    for n in range(1, max_n + 1):
-        classes = generate_all_quandles(n, up_to_iso=True)
-        circles, rankings = ground_form(n, True, caps), ground_form(n, False, caps)
-        for class_id, q in enumerate(classes):
+    for n, (circles, rankings) in enumerate(grounds, 1):
+        for class_id, q in enumerate(generate_all_quandles(n, up_to_iso=True)):
             right = survivors(circles, rco.maps(q))
             left = survivors(circles, lco.maps(q))
             both = len(set(right).intersection(left)) if right and left else 0

@@ -184,6 +184,36 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "_fast_left: the circle holds up to three points, not two",
+        "search.py",
+        "q.size <= (2 if circle else 1)",
+        "q.size <= (3 if circle else 1)",
+        (
+            f"{SEARCH}::TestOracleEquivalence::test_fast_equals_brute_up_to_4",
+            f"{SEARCH}::TestCertificates::test_certificates_back_only_their_own_side_on_classes_up_to_5",
+        ),
+    ),
+    Mutant(
+        "_fast_right: a quandle with a moved point answers yes",
+        "search.py",
+        "_lazy_verdict(q.first_moved is None,",
+        "_lazy_verdict(q.first_moved is not None,",
+        (
+            f"{SEARCH}::TestDecisions::test_right_orderable_iff_trivial",
+            f"{SEARCH}::TestOracleEquivalence::test_fast_equals_brute_up_to_4",
+        ),
+    ),
+    Mutant(
+        "Verdict: a fast yes's witness has the other shape",
+        "search.py",
+        "_identity_order(q.size, circle)",
+        "_identity_order(q.size, not circle)",
+        (
+            f"{SEARCH}::TestCertificates::test_certificates_back_only_their_own_side_on_classes_up_to_5",
+            f"{SEARCH}::TestDecisions::test_no_decision_builds_a_group",
+        ),
+    ),
+    Mutant(
         "_relabellings: the pairs in reverse permutations order",
         "quandles.py",
         "    perms = list(map(bytes, permutations(ident)))\n",

@@ -345,7 +345,8 @@ class TestDecisions:
 
     def test_non_injective_left_names_the_first_repeat(self, labeled_catalog):
         # the first row with a repeated value, the first position t whose value
-        # appeared before, and that value's first position
+        # appeared before, and that value's first position; a left ordering's
+        # certificate names them
         specs = ("trivial:5", "conj:s4", "core:s4", "dihedral:25", "affine:11:2")
         for q in [q for qs in labeled_catalog.values() for q in qs] + [quandle_from_builtin(s) for s in specs]:
             expected = None
@@ -353,10 +354,14 @@ class TestDecisions:
                 repeats = [t for t in range(q.size) if row[t] in row[:t]]
                 if repeats:
                     t = repeats[0]
-                    expected = {"base": s, "pair": [row.index(row[t]), t], "image": row[t]}
+                    expected = (s, row.index(row[t]), t, row[t])
                     break
-            cert = search._first_non_injective_left(q)
-            assert (cert and cert.data) == expected, q.table
+            assert q.first_merged == expected, q.table
+            if expected is not None:
+                s, t1, t2, image = expected
+                cert = decide("LO", q, "fast").certificate
+                assert cert.kind == NON_INJECTIVE_LEFT, q.table
+                assert cert.data == {"base": s, "pair": [t1, t2], "image": image}, q.table
 
 
 class TestCertificates:
@@ -375,9 +380,16 @@ class TestCertificates:
         assert len(classes) == 34
         sides = ({"RCO", "RO"}, {"LCO", "BCO", "LO"})
         for q in classes:
-            for kind in SPACES:
+            for kind, space in SPACES.items():
+                # auto diffs the fast answer against the brute tier; the fast
+                # verdict's witness is an order of the space's shape exactly
+                # on a yes, and its certificate a Certificate exactly on a no
                 v = decide(kind, q)
+                shape = CyclicOrder if space.circle else LinearOrder
+                assert isinstance(v.witness, shape) == v.answer, (kind, q.table)
+                assert isinstance(v.certificate, Certificate) != v.answer, (kind, q.table)
                 if v.answer:
+                    assert v.witness in brute_space(kind, q), (kind, q.table)
                     continue
                 assert recheck_certificate(q, v.certificate, kind), (kind, q.table)
                 other = next(side for side in sides if kind not in side)
@@ -1308,6 +1320,15 @@ class TestCensus:
         with pytest.raises(ResourceLimit) as info:
             census(8)
         assert (info.value.requested, info.value.cap) == (8, 7)
+        # every order's ground sets are built, lowest order first and the
+        # arrangements before the rankings, before any class is generated
+        for max_n, caps, refused in (
+            (7, SearchCaps(6, 6), ("circular-ordering enumeration", 7, 6)),
+            (5, SearchCaps(10, 3), ("ranking enumeration", 4, 3)),
+        ):
+            with pytest.raises(ResourceLimit) as info:
+                census(max_n, caps)
+            assert (info.value.what, info.value.requested, info.value.cap) == refused
 
 
 def _fast_summary(v: Verdict) -> tuple:
