@@ -7,11 +7,15 @@ its degree and its element set; `closure` builds the group that permutations
 generate, by breadth-first search, and it serves `quandles.inner_group`.
 
 A carrier has at most MAX_CARRIER_N = 256 points, so a point fits in a
-byte and a table row is a byte string (`byte_rows`). The three-variable
-axioms, associativity here and right-distributivity in `quandles`, are
-checked by `first_failure`: both sides of the identity are built column by
-column with `bytes.translate` and compared as bytes, and the first failing
-triple is read off the comparisons.
+byte and a table is one row-major byte string of n^2 points
+(`byte_table`), which every table check reads. Its entries are in range
+when deleting the bytes 0..n-1 leaves nothing. A row (a slice of n bytes)
+or a column (every n-th byte) of points is a permutation when deleting its
+bytes from the n points leaves nothing. The three-variable axioms,
+associativity here and right-distributivity in `quandles`, are checked by
+`first_failure`: both sides of the identity are built column by column
+with `bytes.translate` and compared as bytes, and the first failing triple
+is read off the comparisons.
 
 Only a covering set of columns is checked. Call column c good when the
 identity holds for every (a, b) with that c; the good columns are closed
@@ -105,22 +109,25 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 # axiom checks on Cayley tables
 
 
-def byte_rows(table, error, not_square: str, out_of_range: str) -> tuple[bytes, ...]:
-    """The rows of an n-point table, n at most MAX_CARRIER_N, as byte
-    strings, one point per byte.
+def byte_table(table, error, not_square: str, out_of_range: str) -> bytes:
+    """The n^2 entries of an n-point table, n at most MAX_CARRIER_N, as one
+    row-major byte string, one point per byte: entry (i, j) is byte i*n + j,
+    row i the slice from i*n and column j every n-th byte from j.
 
-    A row that is not n long, or an entry that is not an int (bools are
-    ints) in 0..n-1, raises error(not_square, (i,)) or
-    error(out_of_range, (i, j)) at the first, in row-major order.
+    The entries are in range when deleting the bytes 0..n-1 from the string
+    leaves nothing. A row that is not n long, or an entry that is not an int
+    (bools are ints) in 0..n-1, raises error(not_square, (i,)) or
+    error(out_of_range, (i, j)) at the first, in row-major order; only then
+    are the rows scanned in Python.
     """
     n = len(table)
     try:
-        rows = tuple(map(bytes, table))
+        flat = b"".join(map(bytes, table))
     except (TypeError, ValueError):  # an entry that is no int, or not in 0..255
         pass
     else:
-        if set(map(len, rows)) == {n} and max(map(max, rows)) < n:
-            return rows
+        if set(map(len, table)) == {n} and not flat.translate(None, bytes(range(n))):
+            return flat
     for i, row in enumerate(table):  # find the first bad row or entry
         if len(row) != n:
             raise error(not_square, (i,))
@@ -129,11 +136,11 @@ def byte_rows(table, error, not_square: str, out_of_range: str) -> tuple[bytes, 
                 raise error(out_of_range, (i, j))
 
 
-def first_failure(rows: tuple[bytes, ...], right_side) -> tuple[int, int, int] | None:
+def first_failure(flat: bytes, right_side) -> tuple[int, int, int] | None:
     """The first (a, b, c), in lexicographic order, where (a*b)*c differs
     from right_side, or None when the identity holds for every triple.
 
-    The table is read as its row-major entries, one byte each. Row x,
+    The table is its row-major entries, one byte each (`byte_table`). Row x,
     padded to 256 bytes, is the translation map t -> x*t, and column c is
     every n-th byte from c. The entries translated by column c are (a*b)*c
     for all a and b, and right_side(col, maps) builds the other side from
@@ -151,10 +158,9 @@ def first_failure(rows: tuple[bytes, ...], right_side) -> tuple[int, int, int] |
     column before it holds, so the columns from c on are compared in full
     (`_first_triple`) and the first failing triple is named.
     """
-    n = len(rows)
+    n = math.isqrt(len(flat))
     pad = bytes(256 - n)
-    flat = b"".join(rows)
-    maps = [row + pad for row in rows]
+    maps = [flat[i : i + n] + pad for i in range(0, n * n, n)]
     ident = bytes(range(n))
     checked = bytearray()  # the columns checked, all of which hold
     seen = bytearray()  # the points they reach, whose columns hold too
@@ -218,32 +224,36 @@ class FiniteGroup(Value):
     None) and behaves; associativity holds for every triple, checked in C
     by `first_failure` on a set of columns that generates the group, so
     NotAGroup names the first failing (a, b, c) in lexicographic order.
+    Every check reads the table's row-major bytes (`byte_table`): the rows,
+    the columns and the identity's row and column are compared with the
+    points in C, and only a failed check looks for its witness in Python.
     """
 
     _fields = ("table", "identity", "name")
     _compared = ("table", "identity")
 
     def __init__(self, table: Sequence[Sequence[int]], identity: int, name: str | None = None):
-        table = tuple(map(tuple, table))
-        self.__dict__.update(table=table, identity=identity, name=name)
         n = len(table)
         check_carrier(n)
+        table = tuple(map(tuple, table))
+        self.__dict__.update(table=table, identity=identity, name=name)
         if n == 0:
             raise NotAGroup("empty carrier")
-        rows = byte_rows(table, NotAGroup, "table is not square", "entry out of range")
-        for i, row in enumerate(table):
-            if len(set(row)) != n:
+        flat = byte_table(table, NotAGroup, "table is not square", "entry out of range")
+        points = bytes(range(n))
+        for i in range(n):
+            if points.translate(None, flat[i * n : i * n + n]):
                 raise NotAGroup(f"row {i} is not a permutation", (i,))
-        for j, col in enumerate(zip(*table)):
-            if len(set(col)) != n:
+        for j in range(n):
+            if points.translate(None, flat[j::n]):
                 raise NotAGroup(f"column {j} is not a permutation", (j,))
         e = identity
         if type(e) is not int or not (0 <= e < n):
             raise NotAGroup("identity index out of range", (e,))
-        for x in range(n):
-            if table[e][x] != x or table[x][e] != x:
-                raise NotAGroup("identity fails", (e, x))
-        witness = first_failure(rows, _associative_side)
+        if flat[e * n : e * n + n] != points or flat[e::n] != points:
+            x = next(x for x in range(n) if table[e][x] != x or table[x][e] != x)
+            raise NotAGroup("identity fails", (e, x))
+        witness = first_failure(flat, _associative_side)
         if witness:
             raise NotAGroup("associativity fails", witness)
 

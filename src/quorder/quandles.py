@@ -7,8 +7,12 @@ every table built through it, and every quandle the package returns, is
 valid. One private path skips it: `search.generate_all_quandles` wraps the
 tables its column search finds without a check, only to compare their
 canonical forms, and builds each class it returns through the constructor.
-A carrier has at most `groups.MAX_CARRIER_N` = 256 points, one byte each.
-Right-distributivity is checked in C, one column at a time, and only on the
+A carrier has at most `groups.MAX_CARRIER_N` = 256 points, one byte each,
+and the checks read the table as one row-major byte string
+(`groups.byte_table`): the entries, the diagonal and each column, which
+must hold every point, are tested in C, and only a failed test looks for
+its witness in Python. Right-distributivity is checked in C, one
+column at a time, and only on the
 columns that the columns checked before them do not reach
 (`groups.first_failure`): column c holds exactly when R_c, a permutation
 by then, is an automorphism, and R_(x*s) = R_s R_x R_s^-1, so the columns
@@ -43,7 +47,7 @@ from .groups import (
     FiniteGroup,
     GroupAutomorphism,
     PermutationGroup,
-    byte_rows,
+    byte_table,
     check_carrier,
     closure,
     compose,
@@ -69,31 +73,33 @@ class FiniteQuandle(Value):
     before anything else is read. Otherwise NotAQuandle names the first
     axiom that fails and its first witness: a row, then an entry (i, j) that
     is not an int (bools are ints) in 0..n-1, in row-major order; a diagonal
-    entry; a column; a triple (a, b, c) in lexicographic order. The entries
-    and the triples are checked in C (`groups.byte_rows`, and
+    entry; a column; a triple (a, b, c) in lexicographic order. Every check
+    runs in C on the table's row-major bytes (`groups.byte_table`, then the
+    diagonal and each column against the points, then
     `groups.first_failure` on a set of columns that generates the
-    quandle); only a failed entry check scans the rows for its witness.
+    quandle); only a failed entry or diagonal check scans the rows for its
+    witness.
     """
 
     _fields = ("table", "name")
     _compared = ("table",)
 
     def __init__(self, table: Sequence[Sequence[int]], name: str | None = None):
-        table = tuple(map(tuple, table))
         n = len(table)
         check_carrier(n)
-        # the columns are read off during validation
+        table = tuple(map(tuple, table))
         self.__dict__.update(table=table, name=name, size=n, rows=table, columns=tuple(zip(*table)))
         if n == 0:
             raise NotAQuandle("nonempty carrier", ())
-        rows = byte_rows(table, NotAQuandle, "square table", "entry in range")
-        for i in range(n):
-            if table[i][i] != i:
-                raise NotAQuandle("idempotency", (i, i))
-        for j, col in enumerate(self.columns):
-            if len(set(col)) != n:
+        flat = byte_table(table, NotAQuandle, "square table", "entry in range")
+        points = bytes(range(n))
+        if flat[:: n + 1] != points:  # the diagonal
+            i = next(i for i in range(n) if table[i][i] != i)
+            raise NotAQuandle("idempotency", (i, i))
+        for j in range(n):
+            if points.translate(None, flat[j::n]):
                 raise NotAQuandle("right-bijectivity", (j,))
-        witness = first_failure(rows, _distributive_side)
+        witness = first_failure(flat, _distributive_side)
         if witness:
             raise NotAQuandle("right-distributivity", witness)
 

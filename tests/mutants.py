@@ -127,6 +127,30 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "byte_table: the range test takes n for a point",
+        "groups.py",
+        "flat.translate(None, bytes(range(n)))",
+        "flat.translate(None, bytes(range(n + 1)))",
+        (
+            f"{QUANDLES}::TestValidationOracle::test_entries_at_the_byte_edges",
+            f"{GROUPS}::TestValidationOracle::test_entries_at_the_byte_edges",
+        ),
+    ),
+    Mutant(
+        "FiniteQuandle: the column test ignores the last row, taking it for the point the others miss",
+        "quandles.py",
+        "points.translate(None, flat[j::n])",
+        "points.translate(None, flat[j : n * n - n : n])[1:]",
+        (f"{QUANDLES}::TestValidationOracle::test_column_repeating_only_in_its_last_row",),
+    ),
+    Mutant(
+        "FiniteGroup: the rows are checked twice and the columns never",
+        "groups.py",
+        "points.translate(None, flat[j::n])",
+        "points.translate(None, flat[j * n : j * n + n])",
+        (f"{GROUPS}::TestValidationOracle::test_permutation_rows_with_a_column_that_is_not",),
+    ),
+    Mutant(
         "survivors: a rotation test turned into equality",
         "corders.py",
         "    targets = form.targets\n",

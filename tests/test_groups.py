@@ -164,6 +164,55 @@ class TestColumnCover:
         assert (exc.value.reason, exc.value.witness) == ("associativity fails", (2, 2, 4))
 
 
+# group tables with identity 0 on 1-8 points, and one on 24
+SMALL_GROUPS = [cyclic_group(n).table for n in range(1, 9)] + [
+    direct_product(cyclic_group(2), cyclic_group(2)).table,
+    direct_product(cyclic_group(2), cyclic_group(4)).table,
+    direct_product(cyclic_group(2), direct_product(cyclic_group(2), cyclic_group(2))).table,
+    symmetric_group(3).table,
+]
+S4 = symmetric_group(4).table
+
+
+@st.composite
+def with_edge_entries(draw, tables):
+    """One of the tables with one to three entries replaced by n, 255, 256,
+    -1, True or False: bytes() refuses -1 and 256 and takes n and 255,
+    which are no points, and a bool is the point 0 or 1 (no point on one
+    point, for True)."""
+    table = [list(row) for row in draw(st.sampled_from(tables))]
+    n = len(table)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i][j] = draw(st.sampled_from((n, 255, 256, -1, True, False)))
+    return table
+
+
+@st.composite
+def swapped_within_a_row(draw, tables):
+    """One of the tables, of two points or more, with two entries of one row
+    swapped: every row stays a permutation, and the two columns repeat a
+    point."""
+    table = [list(row) for row in draw(st.sampled_from(tables))]
+    n = len(table)
+    i = draw(st.integers(0, n - 1))
+    j, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    table[i][j], table[i][k] = table[i][k], table[i][j]
+    return table
+
+
+def assert_group_validates_like_scan(table, identity):
+    """FiniteGroup accepts the table iff the reference scan does, and
+    otherwise raises the scan's reason and witness."""
+    expected = first_group_violation(table, identity)
+    if expected is None:
+        FiniteGroup(table, identity=identity)
+    else:
+        with pytest.raises(NotAGroup) as exc:
+            FiniteGroup(table, identity=identity)
+        assert (exc.value.reason, exc.value.witness) == expected
+
+
 class TestValidationOracle:
     """The byte-table check against the definitional triple scan."""
 
@@ -199,14 +248,17 @@ class TestValidationOracle:
         )
     )
     def test_arbitrary_small_tables(self, case):
-        table, identity = case
-        expected = first_group_violation(table, identity)
-        if expected is None:
-            FiniteGroup(table, identity=identity)
-        else:
-            with pytest.raises(NotAGroup) as exc:
-                FiniteGroup(table, identity=identity)
-            assert (exc.value.reason, exc.value.witness) == expected
+        assert_group_validates_like_scan(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(with_edge_entries(SMALL_GROUPS))
+    def test_entries_at_the_byte_edges(self, table):
+        assert_group_validates_like_scan(table, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(swapped_within_a_row(SMALL_GROUPS[1:] + [S4]))
+    def test_permutation_rows_with_a_column_that_is_not(self, table):
+        assert_group_validates_like_scan(table, 0)
 
 
 class TestCyclicGroup:

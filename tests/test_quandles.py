@@ -6,6 +6,7 @@ import pytest
 from definitional import first_quandle_violation, permutation_orbits
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_groups import with_edge_entries
 
 from quorder import (
     FiniteGroup,
@@ -31,7 +32,7 @@ from quorder import (
     symmetric_group,
     trivial_quandle,
 )
-from quorder import groups, quandles
+from quorder import quandles
 from quorder.cli import quandle_from_builtin
 from quorder.groups import MAX_CARRIER_N, check_carrier, identity_perm, is_cyclic
 
@@ -132,6 +133,22 @@ def relabelled_or_transposed(draw, tables):
 ORDER_5_CLASSES = [q.table for n in range(1, 6) for q in generate_all_quandles(n, up_to_iso=True)]
 DIHEDRAL_36 = [quandle_from_builtin("dihedral:36").table]
 COVERED = [quandle_from_builtin(spec).table for spec in ("conj:s4", "product:dihedral:3+dihedral:5")]
+UP_TO_8 = ORDER_5_CLASSES + [
+    quandle_from_builtin(spec).table
+    for spec in ("dihedral:6", "conj:s3", "product:trivial:2+dihedral:3", "affine:7:3", "trivial:7", "dihedral:8")
+]
+
+
+@st.composite
+def repeated_in_the_last_row(draw, tables):
+    """One of the tables with a column c < n - 1 that repeats a point in its
+    last row only: entry (n - 1, c) is set to the entry (k, c) of an
+    earlier row. The diagonal is unchanged."""
+    table = [list(row) for row in draw(st.sampled_from(tables))]
+    n = len(table)
+    c, k = draw(st.integers(0, n - 2)), draw(st.integers(0, n - 2))
+    table[n - 1][c] = table[k][c]
+    return table
 
 
 @st.composite
@@ -189,6 +206,16 @@ class TestValidationOracle:
     @settings(max_examples=60, deadline=None)
     @given(transposed_outside_cover(COVERED))
     def test_transposition_outside_the_first_columns(self, table):
+        assert_validates_like_scan(table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(with_edge_entries(UP_TO_8))
+    def test_entries_at_the_byte_edges(self, table):
+        assert_validates_like_scan(table)
+
+    @settings(max_examples=40, deadline=None)
+    @given(repeated_in_the_last_row(DIHEDRAL_36 + COVERED[:1]))
+    def test_column_repeating_only_in_its_last_row(self, table):
         assert_validates_like_scan(table)
 
     def test_largest_carrier_names_its_first_failing_triple(self):
@@ -435,16 +462,19 @@ class TestCarrierCap:
             build()
 
     @pytest.mark.parametrize(
-        "module, build",
-        [(quandles, FiniteQuandle), (groups, lambda table: FiniteGroup(table, 0))],
-        ids=["quandle", "group"],
+        "build", [FiniteQuandle, lambda table: FiniteGroup(table, 0)], ids=["quandle", "group"]
     )
-    def test_constructors_refuse_oversized_tables_before_reading_them(self, monkeypatch, module, build):
-        def no_bytes(*args):
-            raise AssertionError("the rows were read")
+    def test_constructors_refuse_oversized_tables_before_reading_them(self, build):
+        class Unread:
+            """A row of the right length that fails when it is read."""
 
-        monkeypatch.setattr(module, "byte_rows", no_bytes)
-        table = [[0] * (MAX_CARRIER_N + 1)] * (MAX_CARRIER_N + 1)
+            def __len__(self):
+                return MAX_CARRIER_N + 1
+
+            def __iter__(self):
+                raise AssertionError("a row was read")
+
+        table = [Unread()] * (MAX_CARRIER_N + 1)
         with pytest.raises(ResourceLimit) as info:
             build(table)
         assert (info.value.requested, info.value.cap) == (MAX_CARRIER_N + 1, MAX_CARRIER_N)

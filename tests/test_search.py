@@ -1,7 +1,7 @@
 import gc
 from collections import Counter
 from itertools import permutations, product
-from math import factorial
+from math import factorial, isqrt
 
 import pytest
 from definitional import (
@@ -1074,9 +1074,10 @@ class TestIsomorphism:
         checked = []
         first_failure = quandles.first_failure
 
-        def counted_check(rows, side):
-            checked.append(tuple(map(tuple, rows)))
-            return first_failure(rows, side)
+        def counted_check(flat, side):
+            n = isqrt(len(flat))
+            checked.append(tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n)))
+            return first_failure(flat, side)
 
         monkeypatch.setattr(quandles, "first_failure", counted_check)
         classes = generate_all_quandles(5, up_to_iso=True)
